@@ -2,9 +2,8 @@
 //!
 //! Runs Algorithm 1 on the Table I networks three times —
 //!
-//! * **dense** — the PR 2 configuration: dense tableau engine, warm starts
-//!   on, with the original `warm_start_cell_limit = 2²⁰` gate (large conv
-//!   windows re-solve cold);
+//! * **dense** — the dense reference engine (the original tableau) with
+//!   warm starts on at every problem size;
 //! * **cold** — the LU-factorized sparse revised simplex with `warm_start`
 //!   off (every directed solve pays simplex phase 1 from scratch);
 //! * **warm** — the LU-factorized sparse revised simplex with the
@@ -40,13 +39,13 @@ struct Row {
     /// Certifier worker threads (pinned to 1: the ablation isolates solver
     /// work, and the default now follows the hardware).
     threads: usize,
-    /// PR 2 baseline: dense engine, warm starts gated at 2²⁰ cells.
+    /// The dense reference engine, warm starts on at every size.
     dense_s: f64,
     /// Sparse engine, warm starts disabled.
     cold_s: f64,
     /// Sparse engine, warm starts on (the default configuration).
     warm_s: f64,
-    /// Sparse-warm over the dense PR 2 baseline (the engine win).
+    /// Sparse-warm over the dense reference engine (the engine win).
     speedup_vs_dense: f64,
     /// Sparse-warm over sparse-cold (the warm-start win).
     speedup_vs_cold: f64,
@@ -87,7 +86,7 @@ struct Row {
 
 #[derive(Copy, Clone)]
 enum Arm {
-    /// PR 2's configuration: dense tableau + the original cell-limit gate.
+    /// The dense reference engine with warm starts at every size.
     Dense,
     /// Sparse engine, every solve cold.
     SparseCold,
@@ -118,7 +117,6 @@ fn run(bench: &BenchNet, arm: Arm) -> (GlobalReport, f64) {
         Arm::Dense => {
             opts.solver.engine = Engine::Dense;
             opts.solver.warm_start = true;
-            opts.solver.warm_start_cell_limit = 1 << 20;
         }
         Arm::SparseCold => {
             opts.solver.engine = Engine::Lu;
@@ -169,7 +167,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_flag(&args);
     let mut table = Table::new(
-        "Ablation: batched LP engines (dense PR2 baseline vs sparse cold vs sparse warm)",
+        "Ablation: batched LP engines (dense reference vs sparse cold vs sparse warm)",
         &[
             "net",
             "dense",
@@ -205,7 +203,7 @@ fn main() {
             "mpg"
         };
         let name = format!("{kind}-id{} ({}n)", bench.id, bench.net.hidden_neurons());
-        eprintln!("-- {name}: dense (PR2 baseline) ...");
+        eprintln!("-- {name}: dense (reference engine) ...");
         let (dense, dense_s) = run(bench, Arm::Dense);
         eprintln!("   dense: {} in {dense_s:.2}s", describe(&dense.stats));
         eprintln!("-- {name}: sparse cold ...");
@@ -294,7 +292,7 @@ fn main() {
         (rows.iter().map(|r| f(r).ln()).sum::<f64>() / rows.len() as f64).exp()
     };
     println!(
-        "\ngeometric-mean speedup: {:.2}× vs dense PR2 baseline, {:.2}× vs sparse cold",
+        "\ngeometric-mean speedup: {:.2}× vs dense reference engine, {:.2}× vs sparse cold",
         gmean(|r| r.speedup_vs_dense),
         gmean(|r| r.speedup_vs_cold)
     );

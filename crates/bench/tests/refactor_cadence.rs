@@ -1,9 +1,8 @@
 //! Regression lock for the LU engine's refactorization cadence: on the
 //! Table I smoke net the basis must be refactorized orders of magnitude
-//! less often than it pivots. The eta engine rebuilds its inverse every
-//! `O(m)` pivots by necessity (the eta file is its only representation);
-//! the LU engine refactorizes only on warm restores and measured fill
-//! growth, which is the whole point of carrying real factors.
+//! less often than it pivots. The LU engine refactorizes only on warm
+//! restores and measured fill growth, which is the whole point of carrying
+//! real factors instead of a pure eta file rebuilt every `O(m)` pivots.
 
 use itne_bench::nets::auto_mpg_net;
 use itne_core::{certify_global, CertifyOptions};

@@ -85,39 +85,68 @@ pub struct CertifyOptions {
     pub deadline: Option<Instant>,
 }
 
-/// Default worker-thread count: `ITNE_TEST_THREADS` when set to a sane
-/// value, else the machine's available parallelism capped at 8 (the
-/// per-neuron loop saturates around there on the paper's workloads; beyond
-/// it the extra workers mostly contend for memory bandwidth). Read once —
-/// the certifier is deterministic across thread counts, so this only
-/// changes *how* a run executes, never its results.
+/// Default worker-thread count: `ITNE_TEST_THREADS` when set, else the
+/// machine's available parallelism capped at 8 (the per-neuron loop
+/// saturates around there on the paper's workloads; beyond it the extra
+/// workers mostly contend for memory bandwidth). Read once — the certifier
+/// is deterministic across thread counts, so this only changes *how* a run
+/// executes, never its results.
 fn default_threads() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| {
-        std::env::var("ITNE_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| (1..=64).contains(&t))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get().min(8))
-                    .unwrap_or(1)
-            })
+        parse_threads(test_env("ITNE_TEST_THREADS").as_deref()).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get().min(8))
+                .unwrap_or(1)
+        })
     })
 }
 
-/// Default LP engine: `ITNE_TEST_ENGINE` (`lu`, `eta`, or `dense`) when set,
-/// else the solver's own default ([`Engine::Lu`]). Read once — the golden
-/// and metamorphic suites certify identical ε̄ bits whichever engine runs,
-/// so CI forces each legacy engine through the whole pipeline this way.
+/// Default LP engine: `ITNE_TEST_ENGINE` when set, else the solver's own
+/// default ([`Engine::Lu`]). Read once — the golden and metamorphic suites
+/// certify identical ε̄ bits whichever engine runs, so CI forces the dense
+/// reference engine through the whole pipeline this way.
 fn default_engine() -> Engine {
     static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-    *ENGINE.get_or_init(|| match std::env::var("ITNE_TEST_ENGINE").as_deref() {
-        Ok("lu") => Engine::Lu,
-        Ok("eta") => Engine::Eta,
-        Ok("dense") => Engine::Dense,
-        _ => Engine::default(),
-    })
+    *ENGINE.get_or_init(|| parse_engine(test_env("ITNE_TEST_ENGINE").as_deref()))
+}
+
+/// The value of a test override variable, `None` when unset. A value that
+/// is not valid Unicode comes back lossily converted, so the parsers below
+/// reject it instead of silently ignoring it.
+fn test_env(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parses an `ITNE_TEST_THREADS` value: `None` when unset, else a thread
+/// count in `1..=64`.
+///
+/// # Panics
+///
+/// On any other value — a typo must fail loudly, not silently run the suite
+/// at the machine's default thread count.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    let v = value?;
+    match v.parse::<usize>() {
+        Ok(t) if (1..=64).contains(&t) => Some(t),
+        _ => panic!("ITNE_TEST_THREADS={v:?}: expected a thread count in 1..=64"),
+    }
+}
+
+/// Parses an `ITNE_TEST_ENGINE` value: the solver default when unset, else
+/// `lu` or `dense`.
+///
+/// # Panics
+///
+/// On any other value — a removed or misspelled engine name must fail
+/// loudly, not silently test the default engine.
+fn parse_engine(value: Option<&str>) -> Engine {
+    match value {
+        None => Engine::default(),
+        Some("lu") => Engine::Lu,
+        Some("dense") => Engine::Dense,
+        Some(v) => panic!("ITNE_TEST_ENGINE={v:?}: expected `lu` or `dense`"),
+    }
 }
 
 impl Default for CertifyOptions {
@@ -671,6 +700,28 @@ mod tests {
     use crate::example::{fig1_affine, fig1_network};
 
     const DOM: [(f64, f64); 2] = [(-1.0, 1.0), (-1.0, 1.0)];
+
+    #[test]
+    fn thread_override_accepts_only_counts_in_range() {
+        assert_eq!(parse_threads(None), None);
+        assert_eq!(parse_threads(Some("1")), Some(1));
+        assert_eq!(parse_threads(Some("64")), Some(64));
+        for bad in ["0", "65", "100", "four", "", " 4", "-1"] {
+            let caught = std::panic::catch_unwind(|| parse_threads(Some(bad)));
+            assert!(caught.is_err(), "ITNE_TEST_THREADS={bad:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn engine_override_accepts_only_lu_and_dense() {
+        assert_eq!(parse_engine(None), Engine::Lu);
+        assert_eq!(parse_engine(Some("lu")), Engine::Lu);
+        assert_eq!(parse_engine(Some("dense")), Engine::Dense);
+        for bad in ["eta", "LU", "", "sparse"] {
+            let caught = std::panic::catch_unwind(|| parse_engine(Some(bad)));
+            assert!(caught.is_err(), "ITNE_TEST_ENGINE={bad:?} was accepted");
+        }
+    }
 
     /// Fig. 4 "Interleaving ND" row: window-1 exact sub-networks give
     /// Δx⁽¹⁾ ∈ [-0.15, 0.15]², Δx⁽²⁾ ∈ [-0.3, 0.3] → ε = 0.3 (1.5× exact).

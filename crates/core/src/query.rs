@@ -97,10 +97,11 @@ pub struct QueryStats {
     /// Estimated simplex pivots avoided by warm starts (see
     /// [`BatchStats::pivots_saved`]).
     pub pivots_saved: u64,
-    /// Total basis refactorizations across all solves (sparse-engine eta
-    /// rebuilds plus warm-restore factorizations).
+    /// Total basis refactorizations across all solves (LU rebuilds plus
+    /// warm-restore factorizations).
     pub refactorizations: u64,
-    /// Peak product-form eta-file length observed in any single solve.
+    /// Peak count of updates layered on the LU factors (Forrest–Tomlin
+    /// replacements plus product-form etas) observed in any single solve.
     pub eta_len: u64,
     /// Structural non-zeros of the largest constraint matrix solved — the
     /// sparsity the revised simplex exploits on that worst-case sub-problem.

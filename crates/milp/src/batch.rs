@@ -154,16 +154,6 @@ impl<'m> BatchSolver<'m> {
             return Ok(sol);
         }
 
-        // Problem-size escape hatch (see `SolveOptions::warm_start_cell_limit`
-        // — effectively unlimited by default now that the sparse revised
-        // simplex makes warm pivots cost the same as cold ones; a finite
-        // limit reproduces the old dense-engine gating). The working set is
-        // `[A | I_slack | I_art]`, i.e. up to n + 2m columns — one slack per
-        // row plus at worst one artificial per row.
-        let m = self.model.num_constraints() as u64;
-        let cells = m.saturating_mul(2 * m + self.model.num_vars() as u64);
-        let warm_allowed = opts.warm_start && cells <= opts.warm_start_cell_limit;
-
         // A resident factorization belongs to the engine that ran the cold
         // solve; if the caller switches `opts.engine` mid-sweep (e.g. for a
         // differential run), answering from the old engine's resident would
@@ -177,7 +167,7 @@ impl<'m> BatchSolver<'m> {
             self.resident = None;
         }
 
-        if warm_allowed {
+        if opts.warm_start {
             if let Some(resident) = &mut self.resident {
                 match resident.resolve(self.model, opts) {
                     Ok(ResolveOutcome::Solved(sol)) => {
@@ -206,7 +196,7 @@ impl<'m> BatchSolver<'m> {
             Ok((sol, resident)) => {
                 self.stats.pivots += sol.stats.pivots;
                 self.last_cold_pivots = sol.stats.pivots;
-                self.resident = if warm_allowed { resident } else { None };
+                self.resident = if opts.warm_start { resident } else { None };
                 Ok(sol)
             }
             Err(e) => {
@@ -251,10 +241,6 @@ impl<'m> BatchSolver<'m> {
             return Ok(sol);
         }
 
-        let m = self.model.num_constraints() as u64;
-        let cells = m.saturating_mul(2 * m + self.model.num_vars() as u64);
-        let warm_allowed = opts.warm_start && cells <= opts.warm_start_cell_limit;
-
         if self
             .resident
             .as_ref()
@@ -263,7 +249,7 @@ impl<'m> BatchSolver<'m> {
             self.resident = None;
         }
 
-        if warm_allowed {
+        if opts.warm_start {
             if let Some(warm) = slot.as_ref() {
                 // Slot restore against the live engine: skeleton and working
                 // arrays are reused, only the basis is refactorized.
@@ -338,7 +324,7 @@ impl<'m> BatchSolver<'m> {
             Ok((sol, resident)) => {
                 self.stats.pivots += sol.stats.pivots;
                 self.last_cold_pivots = sol.stats.pivots;
-                self.resident = if warm_allowed { resident } else { None };
+                self.resident = if opts.warm_start { resident } else { None };
                 self.store_slot(slot);
                 Ok(sol)
             }
@@ -491,6 +477,65 @@ mod tests {
         // The switched engine's own resident chains from there.
         batch.solve(Sense::Maximize, 1.0 * x, &dense).unwrap();
         assert_eq!(batch.stats().warm_hits, 1);
+    }
+
+    /// Cross-sweep slots: a sweep stores each objective's final basis, and a
+    /// later sweep over an identical model restarts every objective from its
+    /// slot — the first solve rebuilding the engine from the snapshot, the
+    /// second restoring into the live core — with no pivots and the same
+    /// bits. A slot from a differently shaped model is rejected and the
+    /// solve falls back cold.
+    #[test]
+    fn solve_slot_replays_stored_bases_across_sweeps() {
+        let (m, x, y) = skeleton();
+        let opts = SolveOptions::default();
+        let objectives = [
+            (Sense::Maximize, 3.0 * x + 2.0 * y),
+            (Sense::Maximize, 1.0 * y - 1.0 * x),
+        ];
+        let mut slots: [Option<Basis>; 2] = [None, None];
+
+        let mut first_model = m.clone();
+        let mut first = BatchSolver::new(&mut first_model);
+        let want: Vec<Solution> = objectives
+            .iter()
+            .zip(&mut slots)
+            .map(|((sense, e), slot)| first.solve_slot(*sense, e.clone(), &opts, slot).unwrap())
+            .collect();
+        assert!(slots.iter().all(Option::is_some), "every slot stored");
+        assert_eq!(first.stats().seed_hits, 0);
+
+        let mut replay_model = m.clone();
+        let mut replay = BatchSolver::new(&mut replay_model);
+        for (((sense, e), slot), want) in objectives.iter().zip(&mut slots).zip(&want) {
+            let got = replay.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+            assert_eq!(
+                got.stats.pivots, 0,
+                "a stored optimal basis needs no pivots"
+            );
+            assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+            let bits = |s: &Solution| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(want));
+        }
+        let stats = replay.stats();
+        assert_eq!(stats.seed_hits, 2, "{stats:?}");
+        assert_eq!(stats.warm_hits, 2, "{stats:?}");
+        assert_eq!((stats.cold_solves, stats.warm_misses), (0, 0), "{stats:?}");
+
+        // A slot from a model with an extra row cannot restore here.
+        let mut other = m.clone();
+        other.add_constraint(1.0 * x, Cmp::Le, 4.0);
+        other.set_objective(Sense::Maximize, 1.0 * x);
+        let (_, mut slot) = other.solve_with_basis(&opts, None).unwrap();
+        assert!(slot.is_some());
+        let got = replay
+            .solve_slot(Sense::Maximize, 1.0 * x, &opts, &mut slot)
+            .unwrap();
+        assert!((got.objective - 4.5).abs() < 1e-9, "{}", got.objective);
+        let stats = replay.stats();
+        assert_eq!(stats.warm_misses, 1, "{stats:?}");
+        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+        assert_eq!(stats.seed_hits, 2, "{stats:?}");
     }
 
     #[test]

@@ -8,26 +8,13 @@
 //! cannot certify within 24h" rows of Table I. The solver never reads the
 //! clock itself (determinism lint rule `wall-clock`).
 //!
-//! With [`crate::SolveOptions::steal`] > 1 the tree is instead explored in
-//! deterministic **waves**: every surviving frontier node's LP relaxation is
-//! solved concurrently (workers claim node indices dynamically, so a cheap
-//! subtree never idles a worker behind an expensive sibling), then the
-//! results are merged back strictly in node index order and all incumbent,
-//! pruning, and branching decisions happen in that sequential merge. The
-//! wave content is therefore a pure function of the previous wave — never
-//! of the thread count or of which worker solved which node — so the
-//! returned solution *and every stats counter* are bit-identical at any
-//! `steal` value. What changes versus the serial DFS is only the traversal
-//! order (breadth-synchronous instead of depth-first), which can explore a
-//! different number of nodes; both orders prove the same optimum.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+//! The search is serial on purpose: the certifier already runs its
+//! sub-problems in parallel across neurons, so a second level of threads
+//! inside one tree would only oversubscribe the machine.
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarType};
-use crate::options::{Engine, SolveOptions, StopWhen};
-use crate::sparse::{self, Skeleton};
+use crate::options::{SolveOptions, StopWhen};
 use crate::{simplex, Solution, Stats, Status};
 
 struct Node {
@@ -39,9 +26,6 @@ struct Node {
 }
 
 pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    if opts.steal > 1 && opts.engine != Engine::Dense {
-        return solve_milp_waves(model, opts);
-    }
     let sense = model.sense.unwrap_or(Sense::Minimize);
     let int_tol = opts.tolerances.integrality;
     // `better(a, b)`: objective a strictly improves on b.
@@ -87,11 +71,9 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         emit_certificates: false,
         ..opts.clone()
     };
-    // The constraint skeleton is shared by every node; with the sparse
-    // engines, compile it once for the whole tree instead of per relaxation
-    // (nodes only override variable bounds, never rows).
-    let skel = (opts.engine != Engine::Dense)
-        .then(|| Arc::new(Skeleton::build(model, opts.engine == Engine::Lu)));
+    // The constraint skeleton is shared by every node: compile it once for
+    // the whole tree instead of per relaxation.
+    let skel = simplex::shared_skeleton(model, opts);
 
     while let Some(node) = stack.pop() {
         if opts.stop.as_ref().is_some_and(StopWhen::should_stop) {
@@ -114,11 +96,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
             scratch[c] = (cur.0.max(lo), cur.1.min(hi));
         }
 
-        let relaxed = match &skel {
-            Some(skel) => sparse::solve_bounded(model, &scratch, opts, Some(skel.clone())),
-            None => simplex::solve_lp_bounded(model, &scratch, opts),
-        };
-        let relax = match relaxed {
+        let relax = match simplex::solve_lp_bounded(model, &scratch, opts, skel.clone()) {
             Ok(s) => s,
             Err(SolveError::Infeasible) => continue,
             Err(e) => return Err(e),
@@ -238,265 +216,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     }
 }
 
-/// Wave-synchronous parallel branch-and-bound (see the module docs): solve
-/// every surviving frontier relaxation concurrently, then make all search
-/// decisions in a sequential index-order merge. Deterministic at any
-/// [`SolveOptions::steal`] ≥ 2 by construction.
-fn solve_milp_waves(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    let sense = model.sense.unwrap_or(Sense::Minimize);
-    let int_tol = opts.tolerances.integrality;
-    let better = |a: f64, b: f64| match sense {
-        Sense::Maximize => a > b + 1e-9,
-        Sense::Minimize => a < b - 1e-9,
-    };
-    let int_vars: Vec<usize> = model
-        .cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ty == VarType::Integer)
-        .map(|(i, _)| i)
-        .collect();
-    let base_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let worst = match sense {
-        Sense::Maximize => f64::NEG_INFINITY,
-        Sense::Minimize => f64::INFINITY,
-    };
-    let threads = opts.steal;
-
-    let mut incumbent: Option<Solution> = None;
-    let mut best_obj = worst;
-    let mut best_bound = worst;
-    // Unexplored nodes. Within a wave, earlier indices merge first, so the
-    // child nearer its parent's LP value is pushed first — the same
-    // "explore the likelier side before its sibling" heuristic as the DFS.
-    let mut frontier = vec![Node {
-        overrides: Vec::new(),
-        parent_bound: -worst,
-    }];
-    let mut pivots = 0u64;
-    let mut nodes = 0u64;
-    let mut refactorizations = 0u64;
-    let mut eta_len = 0u64;
-    let mut refactor_time_ns = 0u64;
-    let mut ftran_btran_time_ns = 0u64;
-    let mut lu_fill_nnz = 0u64;
-    let mut timed_out = false;
-    let mut node_limited = false;
-    let opts = &SolveOptions {
-        emit_certificates: false,
-        ..opts.clone()
-    };
-    let skel = Arc::new(Skeleton::build(model, opts.engine == Engine::Lu));
-
-    while !frontier.is_empty() {
-        if opts.stop.as_ref().is_some_and(StopWhen::should_stop) {
-            timed_out = true;
-            break;
-        }
-        // Deterministic pre-prune in index order against the incumbent of
-        // the *previous* waves — never against results racing in this one.
-        let mut wave: Vec<Node> = Vec::with_capacity(frontier.len());
-        for node in frontier.drain(..) {
-            if incumbent.is_none() || better(node.parent_bound, best_obj) {
-                wave.push(node);
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
-        let budget = opts.max_nodes.saturating_sub(nodes);
-        if wave.len() as u64 > budget {
-            node_limited = true;
-            frontier = wave.split_off(budget as usize);
-            if wave.is_empty() {
-                break;
-            }
-        }
-        nodes += wave.len() as u64;
-
-        let results = solve_wave(model, &skel, &base_bounds, &wave, opts, threads);
-
-        let mut next: Vec<Node> = Vec::new();
-        for (node, res) in wave.iter().zip(results) {
-            let relax = match res {
-                Ok(s) => s,
-                Err(SolveError::Infeasible) => continue,
-                Err(e) => return Err(e),
-            };
-            pivots += relax.stats.pivots;
-            refactorizations += relax.stats.refactorizations;
-            eta_len = eta_len.max(relax.stats.eta_len);
-            refactor_time_ns = refactor_time_ns.saturating_add(relax.stats.refactor_time_ns);
-            ftran_btran_time_ns =
-                ftran_btran_time_ns.saturating_add(relax.stats.ftran_btran_time_ns);
-            lu_fill_nnz = lu_fill_nnz.max(relax.stats.lu_fill_nnz);
-            if incumbent.is_some() && !better(relax.objective, best_obj) {
-                continue; // relaxation can't beat incumbent
-            }
-
-            let mut branch: Option<(usize, f64, f64)> = None;
-            for &c in &int_vars {
-                let v = relax.values()[c];
-                let frac = (v - v.round()).abs();
-                if frac > int_tol {
-                    let dist = (v - v.floor() - 0.5).abs();
-                    if branch.is_none_or(|(_, _, d)| dist < d) {
-                        branch = Some((c, v, dist));
-                    }
-                }
-            }
-
-            match branch {
-                None => {
-                    let mut vals = relax.values().to_vec();
-                    for &c in &int_vars {
-                        vals[c] = vals[c].round();
-                    }
-                    if incumbent.is_none() || better(relax.objective, best_obj) {
-                        best_obj = relax.objective;
-                        incumbent = Some(Solution {
-                            objective: relax.objective,
-                            status: Status::Optimal,
-                            stats: Stats::default(),
-                            values: vals,
-                            certificate: None,
-                        });
-                    }
-                }
-                Some((c, v, _)) => {
-                    let floor = v.floor();
-                    let up = Node {
-                        overrides: with_override(&node.overrides, (c, floor + 1.0, f64::INFINITY)),
-                        parent_bound: relax.objective,
-                    };
-                    let down = Node {
-                        overrides: with_override(&node.overrides, (c, f64::NEG_INFINITY, floor)),
-                        parent_bound: relax.objective,
-                    };
-                    if v - floor > 0.5 {
-                        next.push(up);
-                        next.push(down);
-                    } else {
-                        next.push(down);
-                        next.push(up);
-                    }
-                    if incumbent.is_none() || better(relax.objective, best_bound) {
-                        best_bound = relax.objective;
-                    }
-                }
-            }
-        }
-        if node_limited {
-            // `frontier` already holds the unexplored wave tail; the solved
-            // nodes' children join it so the frontier bound stays honest.
-            frontier.append(&mut next);
-            break;
-        }
-        frontier = next;
-    }
-
-    let status = if timed_out {
-        Status::TimedOut
-    } else if node_limited {
-        Status::NodeLimit
-    } else {
-        Status::Optimal
-    };
-    match incumbent {
-        Some(mut sol) => {
-            sol.status = status;
-            let frontier_bound: f64 =
-                frontier
-                    .iter()
-                    .map(|n| n.parent_bound)
-                    .fold(best_obj, |acc, b| match sense {
-                        Sense::Maximize => acc.max(b),
-                        Sense::Minimize => acc.min(b),
-                    });
-            sol.stats = Stats {
-                pivots,
-                nodes,
-                best_bound: if status == Status::Optimal {
-                    sol.objective
-                } else {
-                    frontier_bound
-                },
-                max_residual: model.violation(sol.values()),
-                nnz: model.rows.iter().map(|r| r.terms.len() as u64).sum(),
-                refactorizations,
-                eta_len,
-                refactor_time_ns,
-                ftran_btran_time_ns,
-                lu_fill_nnz,
-            };
-            sol.objective = {
-                let mut obj = model.obj_constant;
-                for &(v, c) in &model.objective {
-                    obj += c * sol.values()[v];
-                }
-                obj
-            };
-            Ok(sol)
-        }
-        None if timed_out => Err(SolveError::Timeout),
-        None if node_limited => Err(SolveError::IterationLimit),
-        None => Err(SolveError::Infeasible),
-    }
-}
-
-/// Solves every node relaxation of one wave concurrently. Workers claim
-/// node indices from a shared counter — dynamic assignment, so a wave of
-/// wildly uneven subtrees still keeps every thread busy — and results land
-/// in per-index slots, making the returned vector independent of which
-/// worker solved what.
-fn solve_wave(
-    model: &Model,
-    skel: &Arc<Skeleton>,
-    base_bounds: &[(f64, f64)],
-    wave: &[Node],
-    opts: &SolveOptions,
-    threads: usize,
-) -> Vec<Result<Solution, SolveError>> {
-    let next = AtomicUsize::new(0);
-    let out = Mutex::new({
-        let mut slots: Vec<Option<Result<Solution, SolveError>>> = Vec::new();
-        slots.resize_with(wave.len(), || None);
-        slots
-    });
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(wave.len()) {
-            s.spawn(|| {
-                let mut scratch = base_bounds.to_vec();
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= wave.len() {
-                        break;
-                    }
-                    scratch.copy_from_slice(base_bounds);
-                    for &(c, lo, hi) in &wave[i].overrides {
-                        let cur = scratch[c];
-                        scratch[c] = (cur.0.max(lo), cur.1.min(hi));
-                    }
-                    local.push((
-                        i,
-                        sparse::solve_bounded(model, &scratch, opts, Some(skel.clone())),
-                    ));
-                }
-                let mut out = out.lock().expect("no panics hold this lock");
-                for (i, r) in local {
-                    out[i] = Some(r);
-                }
-            });
-        }
-    });
-    out.into_inner()
-        .expect("scope joined all threads")
-        .into_iter()
-        .map(|r| r.expect("every wave index was claimed"))
-        .collect()
-}
-
 fn with_override(base: &[(usize, f64, f64)], extra: (usize, f64, f64)) -> Vec<(usize, f64, f64)> {
     let mut v = Vec::with_capacity(base.len() + 1);
     v.extend_from_slice(base);
@@ -596,72 +315,6 @@ mod tests {
             Ok(s) => assert_eq!(s.status, Status::TimedOut),
             Err(e) => assert_eq!(e, SolveError::Timeout),
         }
-    }
-
-    /// Wave-parallel subtree exploration is bit-deterministic: every
-    /// `steal` thread count returns the same objective bits, values, and
-    /// node/pivot counters (the wave content never depends on the
-    /// schedule), and agrees with the serial DFS on the proven optimum.
-    #[test]
-    fn steal_thread_count_is_invisible() {
-        let mk = || {
-            let mut m = crate::Model::new();
-            let xs: Vec<_> = (0..12).map(|_| m.add_binary()).collect();
-            let mut w = LinExpr::new();
-            let mut v = LinExpr::new();
-            for (i, &x) in xs.iter().enumerate() {
-                w = w + ((i % 5 + 1) as f64) * x;
-                v = v + ((i % 7 + 2) as f64) * x;
-            }
-            m.add_constraint(w, Cmp::Le, 17.0);
-            m.set_objective(Sense::Maximize, v);
-            m
-        };
-        let serial = mk().solve().unwrap();
-        let runs: Vec<_> = [2usize, 3, 8]
-            .iter()
-            .map(|&steal| {
-                let opts = crate::SolveOptions {
-                    steal,
-                    ..Default::default()
-                };
-                mk().solve_with(&opts).unwrap()
-            })
-            .collect();
-        for s in &runs {
-            assert_eq!(s.status, Status::Optimal);
-            // Same proven optimum as the DFS (objective is recomputed from
-            // the snapped integer point, so value-equality is exact here).
-            assert_eq!(s.objective.to_bits(), serial.objective.to_bits());
-        }
-        for pair in runs.windows(2) {
-            assert_eq!(pair[0].objective.to_bits(), pair[1].objective.to_bits());
-            assert_eq!(pair[0].values(), pair[1].values());
-            assert_eq!(pair[0].stats.nodes, pair[1].stats.nodes);
-            assert_eq!(pair[0].stats.pivots, pair[1].stats.pivots);
-        }
-    }
-
-    /// The wave scheduler honors infeasibility and integrality exactly like
-    /// the serial search.
-    #[test]
-    fn steal_handles_infeasible_and_mixed() {
-        let opts = crate::SolveOptions {
-            steal: 4,
-            ..Default::default()
-        };
-        let mut m = crate::Model::new();
-        let x = m.add_binary();
-        m.add_constraint(2.0 * x, Cmp::Eq, 1.0);
-        assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Infeasible);
-
-        let mut m = crate::Model::new();
-        let z = m.add_binary();
-        let y = m.add_var(0.0, 3.0);
-        m.add_constraint(y + 10.0 * z, Cmp::Le, 11.5);
-        m.set_objective(Sense::Maximize, 2.0 * z + y);
-        let s = m.solve_with(&opts).unwrap();
-        assert!((s.objective - 3.5).abs() < 1e-6);
     }
 
     #[test]

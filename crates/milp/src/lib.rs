@@ -8,13 +8,13 @@
 //! * a **two-phase primal simplex** method with *bounded variables*
 //!   ([`Model::solve`] on continuous models). Box bounds are handled directly
 //!   in the ratio test instead of as explicit rows, which matters because the
-//!   certification encodings bound every variable. Three interchangeable
+//!   certification encodings bound every variable. Two interchangeable
 //!   engines implement it behind [`SolveOptions::engine`]: the default
 //!   **sparse LU revised simplex** (CSC storage, real sparse LU
 //!   factorization with hybrid Forrest–Tomlin / product-form updates,
-//!   range-row folding, fill-growth-triggered refactorization), the pure
-//!   **eta-file revised simplex**, and the original **dense tableau** — the
-//!   latter two kept as differential-testing references;
+//!   range-row folding, fill-growth-triggered refactorization), which every
+//!   production caller runs, and the original **dense tableau**, kept as
+//!   the independent differential-testing reference;
 //! * a **branch-and-bound** search over integer (in practice binary ReLU
 //!   indicator) variables, with cooperative cancellation ([`StopWhen`],
 //!   typically a caller-built deadline) and node-limit support
@@ -76,7 +76,7 @@ pub use batch::{BatchSolver, BatchStats};
 pub use error::SolveError;
 pub use linexpr::LinExpr;
 pub use model::{Cmp, Model, Sense, VarId, VarType, WarmSolve};
-pub use options::{Engine, Pricing, SolveOptions, StopWhen, TelemetryClock, Tolerances};
+pub use options::{Engine, SolveOptions, StopWhen, TelemetryClock, Tolerances};
 pub use simplex::Basis;
 
 use serde::{Deserialize, Serialize};
@@ -114,14 +114,13 @@ pub struct Stats {
     /// Structural non-zeros of the solved constraint matrix (the sparsity
     /// the revised simplex exploits; `rows × cols` would be the dense cost).
     pub nnz: u64,
-    /// Basis refactorizations performed (sparse engines: periodic basis
-    /// rebuilds plus warm-restore factorizations; dense engine: one per warm
+    /// Basis refactorizations performed (LU engine: periodic basis rebuilds
+    /// plus warm-restore factorizations; dense engine: one per warm
     /// restore).
     pub refactorizations: u64,
-    /// Peak product-form eta-file length during the solve (sparse engines
-    /// only; `0` on the dense engine). On [`Engine::Lu`] this counts the
-    /// *update* etas layered on top of the LU factors since the last
-    /// refactorization.
+    /// Peak update count layered on top of the LU factors since the last
+    /// refactorization — Forrest–Tomlin replacements plus product-form etas
+    /// ([`Engine::Lu`] only; `0` on the dense engine).
     pub eta_len: u64,
     /// Nanoseconds spent refactorizing the basis. Requires a caller-injected
     /// [`TelemetryClock`] ([`SolveOptions::telemetry`]); `0` otherwise.
@@ -130,7 +129,7 @@ pub struct Stats {
     /// prices). Requires a [`TelemetryClock`]; `0` otherwise.
     pub ftran_btran_time_ns: u64,
     /// Peak stored non-zeros of the LU factors (`L` + `U` fill;
-    /// [`Engine::Lu`] only, `0` on the other engines).
+    /// [`Engine::Lu`] only, `0` on the dense engine).
     pub lu_fill_nnz: u64,
 }
 

@@ -1,7 +1,7 @@
 //! Sparse LU factorization of the simplex basis, with Forrest–Tomlin
 //! column-replacement updates.
 //!
-//! The [`crate::sparse`] engine's `Engine::Lu` variant represents the basis
+//! The [`crate::sparse`] engine (`Engine::Lu`) represents the basis
 //! inverse as `B = L̃·U` maintained by this module: a sparse LU
 //! factorization refreshed only occasionally, kept current between
 //! refactorizations by replacing one column of `U` per pivot — when the

@@ -1,8 +1,9 @@
 //! Two-phase primal simplex with bounded variables on a dense tableau — the
 //! reference engine — plus the entry points that dispatch each solve to the
-//! engine selected by [`SolveOptions::engine`] (the sparse revised simplex in
-//! [`crate::sparse`] by default; this dense engine via [`Engine::Dense`],
-//! kept for differential testing and as a numerical second opinion).
+//! engine selected by [`SolveOptions::engine`] (the sparse LU revised simplex
+//! in [`crate::sparse`] by default; this dense engine via [`Engine::Dense`],
+//! kept as the independent differential-testing reference). This module is
+//! the only place that dispatches on the engine.
 //!
 //! Box bounds are handled natively: non-basic variables rest at their lower or
 //! upper bound and the ratio test allows bound-to-bound flips, so bounds never
@@ -13,10 +14,12 @@
 //! Anti-cycling: Dantzig pricing switches to Bland's rule after a run of
 //! degenerate steps and switches back on progress.
 
+use std::sync::Arc;
+
 use crate::error::SolveError;
 use crate::model::{Cmp, Model, Sense};
 use crate::options::{Engine, SolveOptions};
-use crate::sparse;
+use crate::sparse::{self, Skeleton};
 use crate::{DualCertificate, Solution, Stats, Status};
 
 const INF: f64 = f64::INFINITY;
@@ -112,7 +115,7 @@ impl Resident {
     pub(crate) fn engine(&self) -> Engine {
         match self {
             Resident::Dense(_) => Engine::Dense,
-            Resident::Sparse(r) => r.engine(),
+            Resident::Sparse(_) => Engine::Lu,
         }
     }
 
@@ -131,8 +134,8 @@ impl Resident {
 
     /// [`Resident::resolve`], but restoring `warm` as the starting basis
     /// instead of continuing from the current one — the slot-restore path of
-    /// a resident sweep. Sparse engines reuse the live core (skeleton and
-    /// working arrays) and pay only the basis refactorization; the dense
+    /// a resident sweep. The LU engine reuses the live core (skeleton and
+    /// working arrays) and pays only the basis refactorization; the dense
     /// engine rejects, so its callers fall back to a chain or cold solve
     /// (dense exists for differential testing, not throughput).
     ///
@@ -543,7 +546,7 @@ pub(crate) fn initial_value(lo: f64, hi: f64) -> (f64, ColState) {
 /// [`SolveOptions::engine`].
 pub(crate) fn solve_lp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    solve_lp_bounded(model, &bounds, opts)
+    solve_lp_bounded(model, &bounds, opts, None)
 }
 
 /// [`solve_lp`] that also extracts a [`Basis`] snapshot for warm-starting a
@@ -552,13 +555,8 @@ pub(crate) fn solve_lp_snapshot(
     model: &Model,
     opts: &SolveOptions,
 ) -> Result<(Solution, Option<Basis>), SolveError> {
-    if opts.engine != Engine::Dense {
-        return sparse::solve_snapshot(model, opts);
-    }
-    let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, t) = solve_lp_core(model, &bounds, opts)?;
-    let snapshot = t.and_then(|t| t.snapshot(model.cols.len()));
-    Ok((sol, snapshot))
+    let (sol, resident) = solve_lp_resident(model, opts)?;
+    Ok((sol, resident.as_ref().and_then(Resident::snapshot)))
 }
 
 /// [`solve_lp`] that also hands back the live factorized engine state for
@@ -583,15 +581,25 @@ pub(crate) fn solve_lp_resident(
     Ok((sol, resident))
 }
 
+/// The compiled constraint skeleton every branch-and-bound node relaxation
+/// of `model` shares (nodes override variable bounds, never rows), built
+/// once per tree. `None` under [`Engine::Dense`], whose tableau is built per
+/// solve.
+pub(crate) fn shared_skeleton(model: &Model, opts: &SolveOptions) -> Option<Arc<Skeleton>> {
+    (opts.engine != Engine::Dense).then(|| Arc::new(Skeleton::build(model, true)))
+}
+
 /// Solves a continuous relaxation with per-variable bound overrides (used by
-/// branch-and-bound so nodes don't clone the constraint matrix).
+/// branch-and-bound so nodes don't clone the constraint matrix), against
+/// `skel` from [`shared_skeleton`] when the caller holds one.
 pub(crate) fn solve_lp_bounded(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
+    skel: Option<Arc<Skeleton>>,
 ) -> Result<Solution, SolveError> {
     if opts.engine != Engine::Dense {
-        return sparse::solve_bounded(model, var_bounds, opts, None);
+        return sparse::solve_bounded(model, var_bounds, opts, skel);
     }
     solve_lp_core(model, var_bounds, opts).map(|(sol, _)| sol)
 }
@@ -775,7 +783,7 @@ fn finish(
 }
 
 /// The per-engine work counters a terminated solve reports into [`Stats`].
-/// The dense engine only has pivots; the sparse engines fill the rest
+/// The dense engine only has pivots; the LU engine fills the rest
 /// (timing counters only when a [`crate::TelemetryClock`] was injected).
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct EngineCounters {
@@ -788,7 +796,7 @@ pub(crate) struct EngineCounters {
 }
 
 /// Builds a checked [`Solution`] from a terminated engine's structural
-/// values — shared by the dense and sparse engines so the residual gate and
+/// values — shared by the dense and LU engines so the residual gate and
 /// the stats layout stay identical.
 pub(crate) fn finish_values(
     model: &Model,
@@ -861,7 +869,16 @@ pub(crate) fn solve_lp_warm_resident(
     warm: &Basis,
 ) -> Result<WarmResidentOutcome, SolveError> {
     if opts.engine != Engine::Dense {
-        return sparse::solve_warm_resident(model, opts, warm);
+        // The LU engine's constructor core plus its slot-restore path.
+        let Some(mut resident) = sparse::SparseResident::empty(model, opts) else {
+            return Ok(WarmResidentOutcome::Rejected);
+        };
+        return Ok(match resident.resolve_from(model, opts, warm)? {
+            ResolveOutcome::Solved(sol) => {
+                WarmResidentOutcome::Solved(sol, Some(Resident::Sparse(Box::new(resident))))
+            }
+            ResolveOutcome::Rejected { .. } => WarmResidentOutcome::Rejected,
+        });
     }
     let n = model.cols.len();
     let m = model.rows.len();

@@ -1,4 +1,5 @@
-//! Sparse revised simplex: the default LP engine family.
+//! Sparse revised simplex over LU factors: the default LP engine
+//! ([`Engine::Lu`](crate::Engine::Lu)).
 //!
 //! Where the dense engine ([`crate::simplex`]) maintains the whole
 //! `B⁻¹·[A | I | I]` tableau explicitly — making every pivot O(m·n)
@@ -8,49 +9,48 @@
 //! * the constraint rows are compiled **once** per model into a [`Skeleton`]:
 //!   the structural columns of `A` in compressed-sparse-column form plus the
 //!   per-row slack bounds, shared (`Arc`) across branch-and-bound nodes and
-//!   resident sweeps. Under [`Engine::Lu`] the skeleton also performs
-//!   **range-row folding**: an adjacent `≤`/`≥` pair over identical terms
-//!   (the `[A | I]` box constraints of the ITNE encoding) becomes one row
-//!   whose slack carries *both* bounds, halving the working basis for those
-//!   rows instead of spending a basis column on each side;
-//! * `B⁻¹` is never formed. Under [`Engine::Lu`] it is a **sparse LU
-//!   factorization** of the basis ([`crate::lu`]: static Markowitz ordering,
-//!   threshold partial pivoting) plus a hybrid update scheme: a pivot lands
-//!   as a **Forrest–Tomlin column replacement** inside the factors when its
-//!   `U`-tail is short (the factors stay exact and the representation does
-//!   not grow) and as a product-form eta on top of them otherwise. A fresh
-//!   solve starts from the trivial `diag(±1)` slack basis, whose FTRAN and
-//!   BTRAN are pure sign flips — so the certifier's tens of thousands of
-//!   short solves never pay for a factorization at all. Under
-//!   [`Engine::Eta`] it is the PR 5 pure product-form eta file, kept as a
-//!   differential-testing reference. Systems with `B` are solved by running
-//!   a vector through the representation — FTRAN for `w = B⁻¹·a` (the
-//!   entering column of the ratio test), BTRAN for `y = c_B·B⁻¹` (the dual
-//!   prices behind reduced costs);
-//! * pricing is **candidate-list partial pricing** with two ranking rules
-//!   ([`Pricing`]): the largest-reduced-cost Dantzig scan (the default —
-//!   cheapest per pivot, which wins on the short-run-dominated workload) or
-//!   devex reference-framework weights (`d_j²/w_j`). A full O(ncols) scan
-//!   runs only to (re)fill the candidate list; ordinary iterations re-price
-//!   just the candidates. Bland's anti-cycling rule falls back to a full
-//!   first-eligible scan, exactly like the dense engine;
-//! * the factorization is **refreshed on measured fill growth**. The eta
-//!   engine refactorizes on a short pivot budget (its whole representation
-//!   *is* the file). The LU engine refactorizes only when its update file's
-//!   accumulated fill outgrows twice the factors' own non-zeros (with a
-//!   floor that lets short solves finish entirely on the trivial basis plus
-//!   etas) — i.e. cadence keyed off observed fill growth, not a fixed small
-//!   constant. Refactorization also recomputes the basic values from the
-//!   original data, resetting accumulated round-off.
+//!   resident sweeps. The skeleton also performs **range-row folding**: an
+//!   adjacent `≤`/`≥` pair over identical terms (the `[A | I]` box
+//!   constraints of the ITNE encoding) becomes one row whose slack carries
+//!   *both* bounds, halving the working basis for those rows instead of
+//!   spending a basis column on each side;
+//! * `B⁻¹` is never formed. It is a **sparse LU factorization** of the basis
+//!   ([`crate::lu`]: static Markowitz ordering, threshold partial pivoting)
+//!   plus a hybrid update scheme: a pivot lands as a **Forrest–Tomlin column
+//!   replacement** inside the factors when its `U`-tail is short (the
+//!   factors stay exact and the representation does not grow) and as a
+//!   product-form eta on top of them otherwise. A fresh solve starts from
+//!   the trivial `diag(±1)` slack basis, whose FTRAN and BTRAN are pure sign
+//!   flips — so the certifier's tens of thousands of short solves never pay
+//!   for a factorization at all. Systems with `B` are solved by running a
+//!   vector through the representation — FTRAN for `w = B⁻¹·a` (the entering
+//!   column of the ratio test), BTRAN for `y = c_B·B⁻¹` (the dual prices
+//!   behind reduced costs);
+//! * pricing is **candidate-list partial pricing** with the
+//!   largest-reduced-cost Dantzig rank, the cheapest per pivot. A full
+//!   O(ncols) scan runs only to (re)fill the candidate list; ordinary
+//!   iterations re-price just the candidates. Bland's anti-cycling rule
+//!   falls back to a full first-eligible scan, exactly like the dense
+//!   engine;
+//! * the factorization is **refreshed on measured fill growth**: only when
+//!   the update file's accumulated fill outgrows twice the factors' own
+//!   non-zeros (with a floor that lets short solves finish entirely on the
+//!   trivial basis plus etas), with a long pivot budget as a drift backstop.
+//!   Refactorization also recomputes the basic values from the original
+//!   data, resetting accumulated round-off.
 //!
 //! Per-iteration cost is therefore one BTRAN + a handful of sparse dot
 //! products + one FTRAN + O(m) value updates, instead of an O(m·ncols) dense
-//! tableau sweep — and on long pivot runs the LU engine's solves stay short
-//! where the eta file used to degrade into constant refactorization.
+//! tableau sweep.
+//!
+//! Every solve runs against one [`Core`] built by one constructor: a cold
+//! solve adds the slack-or-artificial starting basis on top of it, and a
+//! warm start restores a [`Basis`] snapshot into it through the same path a
+//! resident sweep uses ([`SparseResident::resolve_from`]).
 //!
 //! Semantics (two-phase method, bounded variables, bound flips, tolerances,
 //! ratio-test tie-breaking, pricing→Bland switching) deliberately mirror the
-//! dense engine; the proptests run every random skeleton through all three
+//! dense engine; the proptests run every random skeleton through both
 //! engines and assert identical optima.
 
 use std::sync::Arc;
@@ -59,10 +59,10 @@ use crate::error::SolveError;
 use crate::kernel;
 use crate::lu::LuFactors;
 use crate::model::{Cmp, Model, Sense};
-use crate::options::{Engine, Pricing, SolveOptions, TelemetryClock};
+use crate::options::{SolveOptions, TelemetryClock};
 use crate::simplex::{
     finish_values, initial_value, slack_bounds, solve_unconstrained, Basis, ColState,
-    EngineCounters, Resident, ResolveOutcome, WarmResidentOutcome,
+    EngineCounters, ResolveOutcome,
 };
 use crate::{DualCertificate, Solution};
 
@@ -146,6 +146,7 @@ impl SparseMatrix {
     }
 
     /// Structural non-zero count.
+    #[cfg(test)]
     pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
@@ -168,9 +169,9 @@ enum RowOrigin {
 /// the CSC matrix of internal rows, their right-hand sides and slack bounds,
 /// and the mapping back to model rows for dual expansion.
 ///
-/// Folding (LU engine only) is purely an internal reformulation: primal
-/// values, objective, and the *expanded* duals are exactly what the unfolded
-/// problem produces, which is what keeps the certcheck contract intact.
+/// Folding is purely an internal reformulation: primal values, objective,
+/// and the *expanded* duals are exactly what the unfolded problem produces,
+/// which is what keeps the certcheck contract intact.
 pub(crate) struct Skeleton {
     mat: SparseMatrix,
     rhs: Vec<f64>,
@@ -184,7 +185,7 @@ impl Skeleton {
     /// Compiles `model`'s rows. With `fold` on, adjacent `≤`/`≥` pairs over
     /// identical terms with `rhs_le ≥ rhs_ge` become range rows; a *crossed*
     /// pair (`rhs_le < rhs_ge`, trivially infeasible) is left unfolded so
-    /// phase 1 reports infeasibility exactly like the other engines.
+    /// phase 1 reports infeasibility exactly like the dense engine.
     pub(crate) fn build(model: &Model, fold: bool) -> Self {
         let m_model = model.rows.len();
         let mut origin = Vec::with_capacity(m_model);
@@ -272,11 +273,11 @@ impl Skeleton {
     }
 }
 
-/// The product-form-of-inverse representation of `B⁻¹` (or, under
-/// [`Engine::Lu`], of the *update* since the last LU refactorization) as a
-/// sequence of elementary eta matrices: each pivot appends one eta, and
-/// systems are solved by running a vector through the file — forward for
-/// FTRAN, backward for BTRAN. Everything is stored in flat contiguous arrays
+/// The product-form representation of the *update* since the last LU
+/// refactorization, as a sequence of elementary eta matrices: each pivot
+/// that does not fold into the factors appends one eta, and systems are
+/// solved by running a vector through the file — forward for FTRAN,
+/// backward for BTRAN. Everything is stored in flat contiguous arrays
 /// so both passes stream linearly through memory (the engine's innermost
 /// loop — one of each per simplex iteration).
 #[derive(Clone, Debug)]
@@ -302,15 +303,6 @@ impl EtaFile {
         }
     }
 
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.pivots.clear();
-        self.ptr.clear();
-        self.ptr.push(0);
-        self.idx.clear();
-        self.val.clear();
-    }
-
     fn len(&self) -> usize {
         self.rows.len()
     }
@@ -319,14 +311,6 @@ impl EtaFile {
     /// behind the refactorization trigger.
     fn nnz(&self) -> usize {
         self.rows.len() + self.idx.len()
-    }
-
-    /// Appends a fill-free eta with a single diagonal `pivot` at `row`
-    /// (seeds the `diag(±1)` starting basis in O(1), no scratch column).
-    fn push_unit(&mut self, row: usize, pivot: f64) {
-        self.rows.push(row);
-        self.pivots.push(pivot);
-        self.ptr.push(self.idx.len());
     }
 
     /// Appends the eta of a pivot at `row` on the FTRAN'd column `w`.
@@ -377,86 +361,64 @@ impl EtaFile {
 /// keep the factors exact with zero file growth.
 const FT_TAIL_MAX: usize = 32;
 
-/// The basis-inverse representation, per engine. Under [`Engine::Eta`]
-/// every pivot since the solve began lives in a product-form eta file.
-/// Under [`Engine::Lu`] the LU factors carry the basis: cheap pivots fold
-/// in via Forrest–Tomlin column replacement (factors stay exact, nothing
-/// grows), expensive ones append to a product-form eta file *on top of* the
-/// factors until the next refactorization discards it.
-// One `Inverse` exists per solver core, so the variant-size skew costs a few
-// hundred bytes total; boxing `LuFactors` would instead put a pointer chase
-// on every FTRAN/BTRAN of the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Inverse {
-    Eta(EtaFile),
-    Lu { lu: LuFactors, etas: EtaFile },
+/// The basis-inverse representation: the LU factors carry the basis, cheap
+/// pivots fold in via Forrest–Tomlin column replacement (factors stay exact,
+/// nothing grows), and expensive ones append to a product-form eta file *on
+/// top of* the factors until the next refactorization discards it.
+struct Inverse {
+    lu: LuFactors,
+    etas: EtaFile,
 }
 
 impl Inverse {
+    /// The inverse of `diag(±1)`: an identity LU with `−1` on `neg_rows`.
+    fn identity(m: usize, neg_rows: &[usize]) -> Self {
+        Inverse {
+            lu: LuFactors::identity(m, neg_rows),
+            etas: EtaFile::new(),
+        }
+    }
+
     /// `v ← B⁻¹·v`.
     fn ftran(&mut self, v: &mut [f64]) {
-        match self {
-            Inverse::Eta(etas) => etas.ftran(v),
-            Inverse::Lu { lu, etas } => {
-                lu.ftran(v);
-                etas.ftran(v);
-            }
-        }
+        self.lu.ftran(v);
+        self.etas.ftran(v);
     }
 
     /// `yᵀ ← yᵀ·B⁻¹`.
     fn btran(&mut self, y: &mut [f64]) {
-        match self {
-            Inverse::Eta(etas) => etas.btran(y),
-            Inverse::Lu { lu, etas } => {
-                etas.btran(y);
-                lu.btran(y);
-            }
-        }
+        self.etas.btran(y);
+        self.lu.btran(y);
     }
 
-    /// Folds the pivot at `row` into the inverse: the eta engine appends the
-    /// pivot eta of the FTRAN'd column `w`; the LU engine replaces the
-    /// column in the factors (Forrest–Tomlin, using the spike its FTRAN
-    /// saved) when that is cheap, and appends a product-form eta otherwise.
-    /// Once an eta exists the factors no longer see later pivots, so every
-    /// subsequent fold must stay in the file until a refactorization.
-    /// Returns `false` when the updated factors are numerically unusable and
-    /// the caller must refactorize before the next solve.
+    /// Folds the pivot at `row` into the inverse: replaces the column in the
+    /// factors (Forrest–Tomlin, using the spike the FTRAN saved) when that
+    /// is cheap, and appends the product-form eta of the FTRAN'd column `w`
+    /// otherwise. Once an eta exists the factors no longer see later pivots,
+    /// so every subsequent fold must stay in the file until a
+    /// refactorization. Returns `false` when the updated factors are
+    /// numerically unusable and the caller must refactorize before the next
+    /// solve.
     fn fold_pivot(&mut self, row: usize, w: &[f64], pivot_tol: f64) -> bool {
-        match self {
-            Inverse::Eta(etas) => {
-                etas.push_from_column(row, w);
-                true
-            }
-            Inverse::Lu { lu, etas } => {
-                if !lu.is_trivial() && etas.len() == 0 && lu.replace_cost(row) <= FT_TAIL_MAX {
-                    lu.replace_column(row, pivot_tol)
-                } else {
-                    etas.push_from_column(row, w);
-                    true
-                }
-            }
+        if !self.lu.is_trivial() && self.etas.len() == 0 && self.lu.replace_cost(row) <= FT_TAIL_MAX
+        {
+            self.lu.replace_column(row, pivot_tol)
+        } else {
+            self.etas.push_from_column(row, w);
+            true
         }
     }
 
-    /// Updates applied since the last refactorization (eta-file length for
-    /// the eta engine, column replacements plus file etas for the LU
-    /// engine).
+    /// Updates applied since the last refactorization (column replacements
+    /// plus file etas).
     fn update_len(&self) -> usize {
-        match self {
-            Inverse::Eta(etas) => etas.len(),
-            Inverse::Lu { lu, etas } => lu.update_len() + etas.len(),
-        }
+        self.lu.update_len() + self.etas.len()
     }
 
     /// Stored fill accumulated since the last refactorization — the
     /// measured growth the refactorization trigger watches.
     fn update_nnz(&self) -> usize {
-        match self {
-            Inverse::Eta(etas) => etas.nnz(),
-            Inverse::Lu { lu, etas } => lu.update_fill() + etas.nnz(),
-        }
+        self.lu.update_fill() + self.etas.nnz()
     }
 }
 
@@ -465,11 +427,6 @@ enum StepOutcome {
     Unbounded,
     Progress { degenerate: bool },
 }
-
-/// Devex weights above this are reset to the unit framework: the weights are
-/// only *relative* pivot-steering scores, and letting them grow unbounded
-/// eventually drowns the ranking in round-off.
-const DEVEX_RESET: f64 = 1e12;
 
 /// The revised-simplex working state. Column index space matches the dense
 /// engine: `[0, n)` structural, `[n, n+m)` slack, `[n+m, ncols)` artificial
@@ -498,9 +455,6 @@ struct Core {
     y: Vec<f64>,
     /// Partial-pricing candidate list.
     candidates: Vec<usize>,
-    pricing: Pricing,
-    /// Devex reference-framework weights, length `ncols` (all `≥ 1`).
-    devex: Vec<f64>,
     clock: Option<TelemetryClock>,
     pivots: u64,
     refactorizations: u64,
@@ -611,16 +565,6 @@ impl Core {
         }
     }
 
-    /// Pricing rank of an eligible column: plain `|d_j|` under Dantzig,
-    /// `d_j²/w_j` under devex. Eligibility (`score > opt_tol`) is shared, so
-    /// the rule steers the pivot path but never changes termination.
-    fn rank(&self, j: usize, score: f64) -> f64 {
-        match self.pricing {
-            Pricing::Dantzig => score,
-            Pricing::Devex => score * score / self.devex[j],
-        }
-    }
-
     /// Candidate-list cap: a small slice of the column space, enough to keep
     /// high-quality entering choices without a full scan per iteration.
     fn candidate_cap(limit: usize) -> usize {
@@ -665,10 +609,9 @@ impl Core {
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
                 if score > self.opt_tol {
-                    let rank = self.rank(j, score);
                     match best {
-                        Some((_, _, s)) if s >= rank => {}
-                        _ => best = Some((j, dir, rank)),
+                        Some((_, _, s)) if s >= score => {}
+                        _ => best = Some((j, dir, score)),
                     }
                 }
             }
@@ -688,7 +631,7 @@ impl Core {
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
                 if score > self.opt_tol {
-                    scored.push((j, dir, self.rank(j, score)));
+                    scored.push((j, dir, score));
                 }
             }
         }
@@ -696,37 +639,14 @@ impl Core {
             self.candidates.clear();
             return None;
         }
-        // total_cmp, not partial_cmp: a NaN rank must not silently collapse
-        // the ordering and steer pivot choice (lint rule float-cmp). Ranks
+        // total_cmp, not partial_cmp: a NaN score must not silently collapse
+        // the ordering and steer pivot choice (lint rule float-cmp). Scores
         // here are positive and finite, for which the two orders coincide.
         scored.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
         scored.truncate(Self::candidate_cap(limit));
         self.candidates = scored.iter().map(|&(j, _, _)| j).collect();
         let (j, dir, _) = scored[0];
         Some((j, dir))
-    }
-
-    /// Devex weight maintenance for a basis change at row `r` with entering
-    /// column `q` (expects `w = B⁻¹·A_q` and must run *before* the basis
-    /// heading mutates). This is the *cheap* reference-framework variant:
-    /// only the leaving variable's weight is refreshed
-    /// (`w_p ← max(w_q/α_r², 1)`, the exact devex value for the column that
-    /// just left), other non-basic weights keep their last value until the
-    /// framework resets. The full Forrest–Goldfarb update needs the pivot
-    /// row `e_r·B⁻¹N` — an extra BTRAN plus a pricing pass per pivot, which
-    /// measured ~1.8× slower end-to-end on the Table I nets for a ~4% pivot
-    /// reduction. Stale weights still bias pricing toward columns with
-    /// historically large tableau entries, which is devex's point.
-    fn update_devex(&mut self, r: usize, q: usize) {
-        let alpha_r = self.w[r];
-        if alpha_r == 0.0 {
-            return;
-        }
-        let wq = self.devex[q].max(1.0);
-        self.devex[self.basis[r]] = (wq / (alpha_r * alpha_r)).max(1.0);
-        if self.devex[self.basis[r]] > DEVEX_RESET {
-            self.devex.fill(1.0);
-        }
     }
 
     /// One simplex iteration: price, FTRAN, ratio test, then bound-flip or
@@ -791,9 +711,6 @@ impl Core {
                 StepOutcome::Progress { degenerate: false }
             }
             Some((r, to_lower)) => {
-                if self.pricing == Pricing::Devex {
-                    self.update_devex(r, q);
-                }
                 for i in 0..self.m {
                     let a = self.w[i];
                     if a != 0.0 {
@@ -854,11 +771,7 @@ impl Core {
     /// numerical failure).
     fn refactorize(&mut self) -> bool {
         let t0 = self.clock_now();
-        let rebuilt = match self.inverse {
-            Inverse::Eta(_) => self.refactorize_eta(),
-            Inverse::Lu { .. } => self.refactorize_lu(),
-        };
-        let ok = rebuilt && {
+        let ok = self.factorize() && {
             self.refactorizations += 1;
             self.pivots_since_refactor = 0;
             self.needs_refactor = false;
@@ -888,65 +801,13 @@ impl Core {
         unit
     }
 
-    /// Eta-engine refactorization: Gauss-Jordan elimination of the basis
-    /// columns back into a fresh eta file. Within each column the pivot row
-    /// is the largest remaining magnitude, ties to the lowest row. The
-    /// row↔column pairing may change; only the column *set* is meaningful,
-    /// and the heading is rebuilt to match.
-    fn refactorize_eta(&mut self) -> bool {
-        let m = self.m;
-        // Extract the file so the rebuild can FTRAN through it while
-        // scattering into `self.w` (disjoint borrows of `self`).
-        let mut etas = match std::mem::replace(&mut self.inverse, Inverse::Eta(EtaFile::new())) {
-            Inverse::Eta(e) => e,
-            Inverse::Lu { .. } => unreachable!("eta refactorization of an LU inverse"),
-        };
-        etas.clear();
-        let order = self.elimination_order();
-        let mut eliminated = vec![false; m];
-        let mut new_basis = vec![usize::MAX; m];
-        let mut ok = true;
-        for &j in &order {
-            self.w.fill(0.0);
-            Self::scatter_col(&self.skel.mat, &self.arts, self.n, j, &mut self.w);
-            etas.ftran(&mut self.w);
-            let mut best: Option<(usize, f64)> = None;
-            for (r, &done) in eliminated.iter().enumerate() {
-                if done {
-                    continue;
-                }
-                let a = self.w[r].abs();
-                if best.is_none_or(|(_, mag)| a > mag) {
-                    best = Some((r, a));
-                }
-            }
-            let Some((r, mag)) = best else {
-                ok = false;
-                break;
-            };
-            if mag <= self.pivot_tol {
-                ok = false;
-                break;
-            }
-            etas.push_from_column(r, &self.w);
-            eliminated[r] = true;
-            new_basis[r] = j;
-        }
-        self.eta_peak = self.eta_peak.max(etas.len());
-        self.inverse = Inverse::Eta(etas);
-        if ok {
-            self.basis = new_basis;
-        }
-        ok
-    }
-
-    /// LU-engine refactorization: a fresh sparse LU factorization of the
-    /// basis matrix ([`LuFactors::factorize`] — threshold partial pivoting
-    /// with the Markowitz row-weight tie-break), discarding the update eta
-    /// file. The fill trigger (`eta_nnz_cap`) is re-derived from the
-    /// *measured* fill of these factors, so cadence tracks the basis the
-    /// solve actually has rather than a tuned constant.
-    fn refactorize_lu(&mut self) -> bool {
+    /// A fresh sparse LU factorization of the basis matrix
+    /// ([`LuFactors::factorize`] — threshold partial pivoting with the
+    /// Markowitz row-weight tie-break), discarding the update eta file. The
+    /// fill trigger (`eta_nnz_cap`) is re-derived from the *measured* fill
+    /// of these factors, so cadence tracks the basis the solve actually has
+    /// rather than a tuned constant.
+    fn factorize(&mut self) -> bool {
         let m = self.m;
         let order = self.elimination_order();
         let mut col_ptr = Vec::with_capacity(m + 1);
@@ -981,7 +842,7 @@ impl Core {
         self.basis = new_basis;
         self.lu_fill = self.lu_fill.max(lu.nnz() as u64);
         self.eta_nnz_cap = lu_growth_cap(&lu);
-        self.inverse = Inverse::Lu {
+        self.inverse = Inverse {
             lu,
             etas: EtaFile::new(),
         };
@@ -1105,9 +966,9 @@ impl Core {
         true
     }
 
-    /// `ρ·A_j` where `ρ` currently sits in `self.y` (drive-out and devex
-    /// helper; handles every column class because the phase-1 candidate list
-    /// may hold artificials).
+    /// `ρ·A_j` where `ρ` currently sits in `self.y` (drive-out helper;
+    /// handles every column class because the phase-1 candidate list may
+    /// hold artificials).
     fn reduced_cost_entry(&self, j: usize) -> f64 {
         if j < self.n {
             let (rows, vals) = self.skel.mat.col_slices(j);
@@ -1125,7 +986,6 @@ impl Core {
         for c in self.costs.iter_mut().skip(self.art_start) {
             *c = 1.0;
         }
-        self.devex.fill(1.0);
     }
 
     fn set_phase2_costs(&mut self, model: &Model) {
@@ -1135,7 +995,6 @@ impl Core {
             self.costs[v] += if flip { -c } else { c };
         }
         self.candidates.clear();
-        self.devex.fill(1.0);
     }
 
     fn freeze_artificials(&mut self) {
@@ -1229,168 +1088,153 @@ fn lu_growth_cap(lu: &LuFactors) -> usize {
     (2 * lu.nnz()).max(8192)
 }
 
-/// Auto refactorization cadence. The eta engine must refresh frequently —
-/// its whole inverse is the file, and refactorization replays the entire
-/// basis through it. The LU engine's real trigger is measured update-file
-/// fill growth against the factors (`eta_nnz_cap`, re-derived per
-/// refactorization), so its pivot budget is only a drift backstop and can be
-/// orders of magnitude longer.
-fn refactor_budget(opts: &SolveOptions, m: usize, engine: Engine) -> u64 {
-    if opts.refactor_interval > 0 {
-        opts.refactor_interval
-    } else if engine == Engine::Eta {
-        ((m as u64) / 2).clamp(64, 256)
-    } else {
-        (m as u64 * 8).max(2000)
+/// Pivot budget between refactorizations. Only a drift backstop: the real
+/// trigger is measured update-file fill growth against the factors
+/// (`eta_nnz_cap`, re-derived per refactorization), so the budget can be
+/// orders of magnitude longer than any fill-driven cadence.
+fn refactor_budget(m: usize) -> u64 {
+    #[cfg(test)]
+    if tests::REFACTOR_EVERY_PIVOT.with(std::cell::Cell::get) {
+        return 1;
     }
+    (m as u64 * 8).max(2000)
 }
 
-/// Builds the initial working state (columns, resting values, slack-or-
-/// artificial starting basis) for `model` under `var_bounds` against the
-/// compiled `skel`. The arithmetic mirrors the dense engine's setup except
-/// that rows are never negated: an artificial covering a negative residual
-/// gets a `−1` coefficient, represented exactly in the starting inverse
-/// (a seed eta or a `−1` LU diagonal).
-fn build_core(
-    model: &Model,
-    var_bounds: &[(f64, f64)],
-    opts: &SolveOptions,
-    skel: Arc<Skeleton>,
-) -> (Core, f64) {
-    let n = model.cols.len();
-    let m = skel.m();
-    let tol = opts.tolerances;
+impl Core {
+    /// The one constructor: structural columns resting under `var_bounds`,
+    /// slack columns with the skeleton's bounds, no artificial columns, and
+    /// an empty basis over the trivial `diag(1)` factors. A cold solve adds
+    /// its starting basis on top ([`Core::start_cold`]); a warm start
+    /// restores a snapshot into it ([`SparseResident::resolve_from`]).
+    fn new(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skeleton>) -> Core {
+        let n = var_bounds.len();
+        let m = skel.m();
+        let ncols = n + m;
+        let tol = opts.tolerances;
 
-    let mut lo = Vec::with_capacity(n + 2 * m);
-    let mut hi = Vec::with_capacity(n + 2 * m);
-    let mut xval = Vec::with_capacity(n + 2 * m);
-    let mut state = Vec::with_capacity(n + 2 * m);
-    for &(l, h) in var_bounds {
-        let (v, s) = initial_value(l, h);
-        lo.push(l);
-        hi.push(h);
-        xval.push(v);
-        state.push(s);
-    }
-    for k in 0..m {
-        lo.push(skel.slack_lo[k]);
-        hi.push(skel.slack_hi[k]);
-        xval.push(0.0); // placeholder; set below
-        state.push(ColState::AtLower); // placeholder
+        let mut lo = Vec::with_capacity(ncols + m);
+        let mut hi = Vec::with_capacity(ncols + m);
+        let mut xval = Vec::with_capacity(ncols + m);
+        let mut state = Vec::with_capacity(ncols + m);
+        for &(l, h) in var_bounds {
+            let (v, s) = initial_value(l, h);
+            lo.push(l);
+            hi.push(h);
+            xval.push(v);
+            state.push(s);
+        }
+        lo.extend_from_slice(&skel.slack_lo);
+        hi.extend_from_slice(&skel.slack_hi);
+        xval.resize(ncols, 0.0);
+        state.resize(ncols, ColState::AtLower);
+
+        let inverse = Inverse::identity(m, &[]);
+        Core {
+            skel,
+            lo,
+            hi,
+            xval,
+            state,
+            basis: Vec::with_capacity(m),
+            eta_nnz_cap: lu_growth_cap(&inverse.lu),
+            lu_fill: inverse.lu.nnz() as u64,
+            inverse,
+            arts: Vec::new(),
+            n,
+            m,
+            art_start: ncols,
+            ncols,
+            costs: vec![0.0; ncols],
+            w: vec![0.0; m],
+            y: vec![0.0; m],
+            candidates: Vec::new(),
+            clock: opts.telemetry.clone(),
+            pivots: 0,
+            refactorizations: 0,
+            eta_peak: 0,
+            pivots_since_refactor: 0,
+            refactor_every: refactor_budget(m),
+            needs_refactor: false,
+            refactor_ns: 0,
+            solve_ns: 0,
+            feas_tol: tol.feasibility,
+            opt_tol: tol.optimality,
+            pivot_tol: tol.pivot,
+        }
     }
 
-    let mut basis = Vec::with_capacity(m);
-    let mut arts: Vec<(usize, f64)> = Vec::new();
-    let mut art_values: Vec<f64> = Vec::new();
-    let mut art_sum = 0.0;
-    for k in 0..m {
-        let terms = skel.row_terms(model, k);
-        let activity: f64 = terms.iter().map(|&(v, c)| c * xval[v]).sum();
-        let v = skel.rhs[k] - activity; // required slack value
-        let sc = n + k;
-        if v >= lo[sc] && v <= hi[sc] {
-            xval[sc] = v;
-            state[sc] = ColState::Basic;
-            basis.push(sc);
-        } else {
-            let sv = v.clamp(lo[sc], hi[sc]);
-            xval[sc] = sv;
-            state[sc] = if sv == lo[sc] {
-                ColState::AtLower
+    /// Installs the cold slack-or-artificial starting basis: each row's
+    /// slack is basic when the value it needs fits its bounds; otherwise it
+    /// rests at the nearer bound and an artificial column covers the
+    /// residual. Rows are never negated, so an artificial covering a
+    /// negative residual gets a `−1` coefficient, represented exactly as a
+    /// `−1` diagonal of the starting identity LU. Returns the artificial
+    /// mass phase 1 must drive to zero.
+    fn start_cold(&mut self, model: &Model) -> f64 {
+        let n = self.n;
+        let mut art_values: Vec<f64> = Vec::new();
+        let mut art_sum = 0.0;
+        for k in 0..self.m {
+            let terms = self.skel.row_terms(model, k);
+            let activity: f64 = terms.iter().map(|&(v, c)| c * self.xval[v]).sum();
+            let v = self.skel.rhs[k] - activity; // required slack value
+            let sc = n + k;
+            if v >= self.lo[sc] && v <= self.hi[sc] {
+                self.xval[sc] = v;
+                self.state[sc] = ColState::Basic;
+                self.basis.push(sc);
             } else {
-                ColState::AtUpper
-            };
-            let resid = v - sv;
-            arts.push((k, resid.signum()));
-            art_values.push(resid.abs());
-            art_sum += resid.abs();
-            basis.push(usize::MAX); // fixed up below
+                let sv = v.clamp(self.lo[sc], self.hi[sc]);
+                self.xval[sc] = sv;
+                self.state[sc] = if sv == self.lo[sc] {
+                    ColState::AtLower
+                } else {
+                    ColState::AtUpper
+                };
+                let resid = v - sv;
+                self.arts.push((k, resid.signum()));
+                art_values.push(resid.abs());
+                art_sum += resid.abs();
+                self.basis.push(usize::MAX); // fixed up below
+            }
         }
+
+        self.ncols = self.art_start + self.arts.len();
+        for (k, &(r, _)) in self.arts.iter().enumerate() {
+            self.lo.push(0.0);
+            self.hi.push(INF);
+            self.xval.push(art_values[k]);
+            self.state.push(ColState::Basic);
+            self.basis[r] = self.art_start + k;
+        }
+        self.costs.resize(self.ncols, 0.0);
+
+        let neg_rows: Vec<usize> = self
+            .arts
+            .iter()
+            .filter(|&&(_, sign)| sign < 0.0)
+            .map(|&(r, _)| r)
+            .collect();
+        if !neg_rows.is_empty() {
+            self.inverse = Inverse::identity(self.m, &neg_rows);
+        }
+        art_sum
     }
 
-    let art_start = n + m;
-    let ncols = art_start + arts.len();
-    for (k, &(r, _)) in arts.iter().enumerate() {
-        lo.push(0.0);
-        hi.push(INF);
-        xval.push(art_values[k]);
-        state.push(ColState::Basic);
-        basis[r] = art_start + k;
+    /// Per-solve counters start at zero against the current factors.
+    fn begin_solve(&mut self) {
+        self.pivots = 0;
+        self.refactorizations = 0;
+        self.refactor_ns = 0;
+        self.solve_ns = 0;
+        self.eta_peak = self.inverse.update_len();
+        self.lu_fill = self.inverse.lu.nnz() as u64;
     }
-
-    // Starting basis B = diag(±1): the −1 artificials are inverted exactly
-    // from the first iteration — one entry-free seed eta on the eta engine,
-    // a −1 diagonal of the identity LU on the LU engine.
-    let neg_rows: Vec<usize> = arts
-        .iter()
-        .filter(|&&(_, sign)| sign < 0.0)
-        .map(|&(r, _)| r)
-        .collect();
-    let (inverse, eta_nnz_cap, lu_fill) = if opts.engine == Engine::Eta {
-        let mut etas = EtaFile::new();
-        for &r in &neg_rows {
-            etas.push_unit(r, -1.0);
-        }
-        (Inverse::Eta(etas), 8 * (skel.mat.nnz() + m) + 512, 0u64)
-    } else {
-        let lu = LuFactors::identity(m, &neg_rows);
-        let cap = lu_growth_cap(&lu);
-        let fill = lu.nnz() as u64;
-        (
-            Inverse::Lu {
-                lu,
-                etas: EtaFile::new(),
-            },
-            cap,
-            fill,
-        )
-    };
-
-    let refactor_every = refactor_budget(opts, m, opts.engine);
-    let core = Core {
-        skel,
-        lo,
-        hi,
-        xval,
-        state,
-        basis,
-        inverse,
-        arts,
-        n,
-        m,
-        art_start,
-        ncols,
-        costs: vec![0.0; ncols],
-        w: vec![0.0; m],
-        y: vec![0.0; m],
-        candidates: Vec::new(),
-        pricing: opts.pricing,
-        devex: vec![1.0; ncols],
-        clock: opts.telemetry.clone(),
-        pivots: 0,
-        refactorizations: 0,
-        eta_peak: 0,
-        pivots_since_refactor: 0,
-        refactor_every,
-        eta_nnz_cap,
-        needs_refactor: false,
-        refactor_ns: 0,
-        solve_ns: 0,
-        lu_fill,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
-    };
-    (core, art_sum)
-}
-
-/// Whether `opts.engine` folds range-row pairs into bounded slacks.
-fn folds(opts: &SolveOptions) -> bool {
-    opts.engine == Engine::Lu
 }
 
 /// Cold two-phase solve, returning the terminated [`Core`] for snapshotting
-/// or resident reuse.
+/// or resident reuse. A caller holding a compiled [`Skeleton`] for this
+/// model (branch-and-bound) passes it to skip recompilation.
 fn solve_core(
     model: &Model,
     var_bounds: &[(f64, f64)],
@@ -1409,8 +1253,9 @@ fn solve_core(
         return solve_unconstrained(model, var_bounds).map(|s| (s, None));
     }
 
-    let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, folds(opts))));
-    let (mut core, art_sum) = build_core(model, var_bounds, opts, skel);
+    let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, true)));
+    let mut core = Core::new(var_bounds, opts, skel);
+    let art_sum = core.start_cold(model);
     let cap = opts.pivot_cap(core.m, core.ncols);
 
     if art_sum > 0.0 {
@@ -1463,9 +1308,8 @@ pub(crate) fn infeasibility_duals(model: &Model, opts: &SolveOptions) -> Option<
     if model.rows.is_empty() || var_bounds.iter().any(|&(lo, hi)| lo > hi) {
         return None;
     }
-    let skel = Arc::new(Skeleton::build(model, false));
-    let (mut core, art_sum) = build_core(model, &var_bounds, opts, skel);
-    if art_sum == 0.0 {
+    let mut core = Core::new(&var_bounds, opts, Arc::new(Skeleton::build(model, false)));
+    if core.start_cold(model) == 0.0 {
         return None; // starting basis already feasible — nothing to witness
     }
     core.set_phase1_costs();
@@ -1480,10 +1324,9 @@ pub(crate) fn infeasibility_duals(model: &Model, opts: &SolveOptions) -> Option<
     Some(core.certificate().row_duals)
 }
 
-/// Sparse counterpart of [`crate::simplex`]'s cold LP entry point. A caller
-/// holding a compiled [`Skeleton`] for this model (branch-and-bound, batch
-/// sweeps) passes it to skip recompilation; it must have been built with
-/// this engine's folding mode.
+/// Cold LP solve under per-variable bound overrides. A caller holding a
+/// compiled [`Skeleton`] for this model (branch-and-bound) passes it to skip
+/// recompilation.
 pub(crate) fn solve_bounded(
     model: &Model,
     var_bounds: &[(f64, f64)],
@@ -1491,16 +1334,6 @@ pub(crate) fn solve_bounded(
     skel: Option<Arc<Skeleton>>,
 ) -> Result<Solution, SolveError> {
     solve_core(model, var_bounds, opts, skel).map(|(sol, _)| sol)
-}
-
-/// Cold solve that also extracts a [`Basis`] snapshot.
-pub(crate) fn solve_snapshot(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<(Solution, Option<Basis>), SolveError> {
-    let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, core) = solve_core(model, &bounds, opts, None)?;
-    Ok((sol, core.and_then(|c| c.snapshot())))
 }
 
 /// A live factorized sparse engine kept resident between the solves of one
@@ -1513,26 +1346,33 @@ pub(crate) struct SparseResident {
 }
 
 impl SparseResident {
+    /// The constructor's empty core for `model` under its own bounds, for
+    /// [`SparseResident::resolve_from`] to restore a snapshot into — the
+    /// warm start of a seeded sweep's first solve. `None` when the model has
+    /// no rows (there is no basis to restore).
+    pub(crate) fn empty(model: &Model, opts: &SolveOptions) -> Option<Self> {
+        if model.rows.is_empty() {
+            return None;
+        }
+        let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
+        let skel = Arc::new(Skeleton::build(model, true));
+        Some(SparseResident {
+            core: Core::new(&var_bounds, opts, skel),
+            var_bounds,
+        })
+    }
+
     /// Flattens the live engine to a restorable [`Basis`] snapshot (`None`
     /// when an artificial column is still basic).
     pub(crate) fn snapshot(&self) -> Option<Basis> {
         self.core.snapshot()
     }
 
-    /// Which engine this resident's inverse belongs to (a resident built
-    /// under one engine must not serve a sweep that requested another).
-    pub(crate) fn engine(&self) -> Engine {
-        match self.core.inverse {
-            Inverse::Eta(_) => Engine::Eta,
-            Inverse::Lu { .. } => Engine::Lu,
-        }
-    }
-
-    /// Restores `warm` into the live core — reusing the compiled skeleton
-    /// and every working array — then reoptimizes phase 2 under `model`'s
-    /// current objective. This is the slot-restore path of a resident sweep:
-    /// compared to [`solve_warm_resident`] it skips the `Skeleton` compile
-    /// and `Core` construction, paying only the basis refactorization.
+    /// Restores `warm` into the core — reusing the compiled skeleton and
+    /// every working array — then reoptimizes phase 2 under `model`'s
+    /// current objective. This is the one warm-restore path: a resident
+    /// sweep's slot restore and a snapshot warm start (over
+    /// [`SparseResident::empty`]) both pay only the basis refactorization.
     ///
     /// On [`ResolveOutcome::Rejected`] the core's basis state has been
     /// overwritten and may be inconsistent; the caller must discard this
@@ -1555,10 +1395,11 @@ impl SparseResident {
         {
             return reject;
         }
-        // Non-basic columns rest exactly at their recorded bound (the same
-        // restore contract as `solve_warm_resident`). A snapshot never
-        // records artificial columns, so any the cold solve introduced are
-        // parked non-basic at their frozen value 0.
+        // Non-basic columns rest exactly at their recorded bound; a recorded
+        // state that no longer matches a finite bound means the snapshot
+        // belongs to a different model. A snapshot never records artificial
+        // columns, so any a cold solve introduced are parked non-basic at
+        // their frozen value 0.
         for j in 0..nm {
             match warm.state[j] {
                 ColState::Basic => {}
@@ -1591,37 +1432,17 @@ impl SparseResident {
         }
         c.basis.clear();
         c.basis.extend_from_slice(&warm.rows);
-        // Per-solve counters, as in `resolve`; reset *before* the restore
-        // refactorization so its time lands in this solve's telemetry.
-        c.pivots = 0;
-        c.refactorizations = 0;
-        c.refactor_ns = 0;
-        c.solve_ns = 0;
+        // Counters restart *before* the restore refactorization, so its time
+        // lands in this solve's telemetry and it is the solve's one
+        // refactorization. A singular column set or a restored point that is
+        // no longer primal feasible means the snapshot is stale.
+        c.begin_solve();
         if !c.refactorize() {
             return reject;
         }
-        c.refactorizations = 1; // the restore itself, not a cadence refactor
-        c.eta_peak = c.inverse.update_len();
-        c.lu_fill = match &c.inverse {
-            Inverse::Eta(_) => 0,
-            Inverse::Lu { lu, .. } => lu.nnz() as u64,
-        };
-        c.set_phase2_costs(model);
-        match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
-            Ok(()) => {}
-            Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-            Err(_) => {
-                return Ok(ResolveOutcome::Rejected {
-                    wasted_pivots: c.pivots,
-                })
-            }
-        }
-        match c.finish(model, &self.var_bounds, opts.emit_certificates) {
-            Ok(sol) => Ok(ResolveOutcome::Solved(sol)),
-            Err(_) => Ok(ResolveOutcome::Rejected {
-                wasted_pivots: c.pivots,
-            }),
-        }
+        c.eta_peak = 0;
+        c.lu_fill = c.inverse.lu.nnz() as u64;
+        self.reoptimize(model, opts)
     }
 
     /// Reoptimizes under `model`'s current objective (phase 2 only).
@@ -1634,16 +1455,20 @@ impl SparseResident {
         if model.cols.len() != c.n || model.rows.len() != c.skel.m_model {
             return Ok(ResolveOutcome::Rejected { wasted_pivots: 0 });
         }
+        c.begin_solve();
+        self.reoptimize(model, opts)
+    }
+
+    /// Phase 2 from the core's current (primal feasible) basis under
+    /// `model`'s objective. Everything recoverable is a rejection; only a
+    /// genuinely unbounded objective is an error.
+    fn reoptimize(
+        &mut self,
+        model: &Model,
+        opts: &SolveOptions,
+    ) -> Result<ResolveOutcome, SolveError> {
+        let c = &mut self.core;
         c.set_phase2_costs(model);
-        c.pivots = 0; // per-solve counters
-        c.refactorizations = 0;
-        c.eta_peak = c.inverse.update_len();
-        c.refactor_ns = 0;
-        c.solve_ns = 0;
-        c.lu_fill = match &c.inverse {
-            Inverse::Eta(_) => 0,
-            Inverse::Lu { lu, .. } => lu.nnz() as u64,
-        };
         match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
             Ok(()) => {}
             Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
@@ -1662,7 +1487,8 @@ impl SparseResident {
     }
 }
 
-/// Cold solve that hands back the live engine for in-place reoptimization.
+/// Cold solve that hands back the live engine for in-place reoptimization
+/// or snapshotting.
 pub(crate) fn solve_resident(
     model: &Model,
     opts: &SolveOptions,
@@ -1676,162 +1502,26 @@ pub(crate) fn solve_resident(
     Ok((sol, resident))
 }
 
-/// Warm-started solve from a [`Basis`] snapshot: refactorize the recorded
-/// column set against the original matrix and reoptimize phase 2, then hand
-/// back the live engine for in-place reoptimization of later objectives.
-/// Anything recoverable reports [`WarmResidentOutcome::Rejected`] so the
-/// caller can fall back cold, matching the dense engine's contract.
-pub(crate) fn solve_warm_resident(
-    model: &Model,
-    opts: &SolveOptions,
-    warm: &Basis,
-) -> Result<WarmResidentOutcome, SolveError> {
-    let n = model.cols.len();
-    let tol = opts.tolerances;
-    if warm.n != n || model.rows.is_empty() {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-    let skel = Arc::new(Skeleton::build(model, folds(opts)));
-    let m = skel.m();
-    if warm.m != m || warm.state.len() != n + m || warm.rows.len() != m {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-    let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    for &(lo, hi) in &var_bounds {
-        if lo > hi {
-            return Err(SolveError::Infeasible);
-        }
-    }
-
-    let ncols = n + m;
-    let mut lo = Vec::with_capacity(ncols);
-    let mut hi = Vec::with_capacity(ncols);
-    for &(l, h) in &var_bounds {
-        lo.push(l);
-        hi.push(h);
-    }
-    for k in 0..m {
-        lo.push(skel.slack_lo[k]);
-        hi.push(skel.slack_hi[k]);
-    }
-
-    // Non-basic columns rest exactly at their recorded bound; a recorded
-    // state that no longer matches a finite bound means the snapshot belongs
-    // to a different model.
-    let state = warm.state.clone();
-    let mut xval = vec![0.0f64; ncols];
-    for j in 0..ncols {
-        match state[j] {
-            ColState::Basic => {}
-            ColState::AtLower => {
-                if !lo[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
-                }
-                xval[j] = lo[j];
-            }
-            ColState::AtUpper => {
-                if !hi[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
-                }
-                xval[j] = hi[j];
-            }
-            ColState::Free => xval[j] = 0.0,
-        }
-    }
-    if warm
-        .rows
-        .iter()
-        .any(|&b| b >= ncols || state[b] != ColState::Basic)
-    {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-
-    let (inverse, eta_nnz_cap) = if opts.engine == Engine::Eta {
-        (Inverse::Eta(EtaFile::new()), 8 * (skel.mat.nnz() + m) + 512)
-    } else {
-        // Placeholder factors; the restore refactorization below replaces
-        // them with the LU of the recorded column set.
-        let lu = LuFactors::identity(m, &[]);
-        let cap = lu_growth_cap(&lu);
-        (
-            Inverse::Lu {
-                lu,
-                etas: EtaFile::new(),
-            },
-            cap,
-        )
-    };
-    let refactor_every = refactor_budget(opts, m, opts.engine);
-    let mut core = Core {
-        skel,
-        lo,
-        hi,
-        xval,
-        state,
-        basis: warm.rows.clone(),
-        inverse,
-        arts: Vec::new(),
-        n,
-        m,
-        art_start: ncols,
-        ncols,
-        costs: vec![0.0; ncols],
-        w: vec![0.0; m],
-        y: vec![0.0; m],
-        candidates: Vec::new(),
-        pricing: opts.pricing,
-        devex: vec![1.0; ncols],
-        clock: opts.telemetry.clone(),
-        pivots: 0,
-        refactorizations: 0,
-        eta_peak: 0,
-        pivots_since_refactor: 0,
-        refactor_every,
-        eta_nnz_cap,
-        needs_refactor: false,
-        refactor_ns: 0,
-        solve_ns: 0,
-        lu_fill: 0,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
-    };
-
-    // Refactorize the recorded column set; a singular set or a restored
-    // point that is no longer primal feasible means the snapshot is stale.
-    if !core.refactorize() {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-    core.pivots = 0;
-    core.refactorizations = 1; // the restore itself
-
-    core.set_phase2_costs(model);
-    match core.optimize(true, opts.pivot_cap(m, ncols)) {
-        Ok(()) => {}
-        Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-        Err(_) => return Ok(WarmResidentOutcome::Rejected),
-    }
-    match core.finish(model, &var_bounds, opts.emit_certificates) {
-        Ok(sol) => Ok(WarmResidentOutcome::Solved(
-            sol,
-            Some(Resident::Sparse(Box::new(SparseResident {
-                core,
-                var_bounds,
-            }))),
-        )),
-        Err(_) => Ok(WarmResidentOutcome::Rejected),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::Skeleton;
-    use crate::{
-        BatchSolver, Cmp, Engine, LinExpr, Model, Pricing, Sense, SolveError, SolveOptions,
-    };
+    use std::cell::Cell;
 
-    /// Both sparse engines, for tests that loop the same property over each.
-    const SPARSE_ENGINES: [Engine; 2] = [Engine::Lu, Engine::Eta];
+    use super::Skeleton;
+    use crate::{BatchSolver, Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions};
+
+    thread_local! {
+        /// Read by `refactor_budget`: when set, solves on this thread
+        /// refactorize after every pivot.
+        pub(super) static REFACTOR_EVERY_PIVOT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with a refactorization forced after every pivot.
+    fn refactoring_every_pivot<T>(f: impl FnOnce() -> T) -> T {
+        REFACTOR_EVERY_PIVOT.with(|h| h.set(true));
+        let out = f();
+        REFACTOR_EVERY_PIVOT.with(|h| h.set(false));
+        out
+    }
 
     fn opts(engine: Engine) -> SolveOptions {
         SolveOptions {
@@ -1897,7 +1587,7 @@ mod tests {
     #[test]
     fn textbook_problems_match_dense_engine() {
         // The dense engine's unit suite distilled into an engine-agreement
-        // check: every model solves to the same objective on all engines.
+        // check: every model solves to the same objective on both engines.
         let build: Vec<fn() -> Model> = vec![
             || {
                 let mut m = Model::new();
@@ -1972,23 +1662,21 @@ mod tests {
             let dense = m
                 .solve_with(&opts(Engine::Dense))
                 .unwrap_or_else(|e| panic!("case {i} dense: {e}"));
-            for engine in SPARSE_ENGINES {
-                let sparse = m
-                    .solve_with(&opts(engine))
-                    .unwrap_or_else(|e| panic!("case {i} {engine:?}: {e}"));
-                assert!(
-                    (sparse.objective - dense.objective).abs() < 1e-6,
-                    "case {i}: {engine:?} {} vs dense {}",
-                    sparse.objective,
-                    dense.objective
-                );
-            }
+            let lu = m
+                .solve_with(&opts(Engine::Lu))
+                .unwrap_or_else(|e| panic!("case {i} lu: {e}"));
+            assert!(
+                (lu.objective - dense.objective).abs() < 1e-6,
+                "case {i}: lu {} vs dense {}",
+                lu.objective,
+                dense.objective
+            );
         }
     }
 
     #[test]
     fn infeasible_and_unbounded_detected() {
-        for engine in SPARSE_ENGINES {
+        for engine in [Engine::Lu, Engine::Dense] {
             let mut m = Model::new();
             let x = m.add_var(0.0, 1.0);
             m.add_constraint(2.0 * x, Cmp::Ge, 3.0);
@@ -2018,7 +1706,7 @@ mod tests {
     /// for the wrong reason).
     #[test]
     fn crossed_range_pair_stays_infeasible() {
-        for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+        for engine in [Engine::Lu, Engine::Dense] {
             let mut m = Model::new();
             let x = m.add_var(-5.0, 5.0);
             let y = m.add_var(-5.0, 5.0);
@@ -2060,16 +1748,14 @@ mod tests {
     }
 
     /// Range folding is an internal reformulation: the LU engine must reach
-    /// the same optimum as the unfolding engines on interval-row models,
-    /// with a working basis that shows the fold actually fired.
+    /// the same optimum and point as the unfolded dense engine on
+    /// interval-row models.
     #[test]
     fn range_folding_matches_unfolded_engines() {
         for seed in [0x11u64, 0x22, 0x33] {
             let (m, _) = range_band_lp(24, 4, seed);
             let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
-            let eta = m.solve_with(&opts(Engine::Eta)).expect("eta solves");
             let lu = m.solve_with(&opts(Engine::Lu)).expect("lu solves");
-            assert_close(eta.objective, dense.objective);
             assert_close(lu.objective, dense.objective);
             for (a, b) in lu.values().iter().zip(dense.values()) {
                 assert!(
@@ -2080,43 +1766,20 @@ mod tests {
         }
     }
 
-    /// LU and eta engines must agree exactly on plain band problems too —
+    /// The LU and dense engines must agree on plain band problems too —
     /// same optimum, same returned point.
     #[test]
-    fn lu_and_eta_engines_agree_on_band_problems() {
+    fn lu_and_dense_engines_agree_on_band_problems() {
         for seed in [1u64, 0xBEEF, 0xD00D] {
             let (m, _) = band_lp(50, 5, seed);
-            let eta = m.solve_with(&opts(Engine::Eta)).expect("eta solves");
+            let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
             let lu = m.solve_with(&opts(Engine::Lu)).expect("lu solves");
-            assert_close(lu.objective, eta.objective);
-            for (a, b) in lu.values().iter().zip(eta.values()) {
+            assert_close(lu.objective, dense.objective);
+            for (a, b) in lu.values().iter().zip(dense.values()) {
                 assert!(
                     (a - b).abs() < 1e-6,
                     "seed {seed}: values diverged {a} vs {b}"
                 );
-            }
-        }
-    }
-
-    /// Devex pricing steers the pivot path, never the optimum.
-    #[test]
-    fn devex_and_dantzig_reach_same_optimum() {
-        for engine in SPARSE_ENGINES {
-            for seed in [7u64, 0xACE] {
-                let (m, _) = band_lp(40, 5, seed);
-                let devex = m
-                    .solve_with(&SolveOptions {
-                        pricing: Pricing::Devex,
-                        ..opts(engine)
-                    })
-                    .expect("devex solves");
-                let dantzig = m
-                    .solve_with(&SolveOptions {
-                        pricing: Pricing::Dantzig,
-                        ..opts(engine)
-                    })
-                    .expect("dantzig solves");
-                assert_close(devex.objective, dantzig.objective);
             }
         }
     }
@@ -2126,53 +1789,42 @@ mod tests {
     /// the bounded-variable method must notice and report zero pivots.
     #[test]
     fn bound_flips_alone_reach_the_optimum() {
-        for engine in SPARSE_ENGINES {
-            let mut m = Model::new();
-            let vars: Vec<_> = (0..12).map(|_| m.add_var(-1.0, 1.0)).collect();
-            let e = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
-            m.add_constraint(e, Cmp::Le, 1000.0);
-            let obj = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
-            m.set_objective(Sense::Maximize, obj);
-            let sol = m.solve_with(&opts(engine)).expect("solves");
-            assert_close(sol.objective, 12.0);
-            assert_eq!(sol.stats.pivots, 0, "{engine:?}: {:?}", sol.stats);
-        }
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..12).map(|_| m.add_var(-1.0, 1.0)).collect();
+        let e = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
+        m.add_constraint(e, Cmp::Le, 1000.0);
+        let obj = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
+        m.set_objective(Sense::Maximize, obj);
+        let sol = m.solve_with(&opts(Engine::Lu)).expect("solves");
+        assert_close(sol.objective, 12.0);
+        assert_eq!(sol.stats.pivots, 0, "{:?}", sol.stats);
     }
 
     /// The refactorization-equivalence property: rebuilding the
-    /// factorization after *every* pivot (`refactor_interval = 1`) must
-    /// reach the same optimum as the lazy default — refactorization is a
-    /// representation change, never a semantic one.
+    /// factorization after *every* pivot must reach the same optimum as the
+    /// lazy default — refactorization is a representation change, never a
+    /// semantic one.
     #[test]
     fn refactorization_is_equivalence_preserving() {
-        for engine in SPARSE_ENGINES {
-            let (m, _) = band_lp(40, 5, 0xE7A);
-            let lazy = m.solve_with(&opts(engine)).expect("lazy solves");
-            let eager = m
-                .solve_with(&SolveOptions {
-                    refactor_interval: 1,
-                    ..opts(engine)
-                })
-                .expect("eager solves");
-            assert_close(eager.objective, lazy.objective);
-            assert!(
-                eager.stats.refactorizations > 0,
-                "{engine:?}: interval 1 never refactorized: {:?}",
-                eager.stats
-            );
-            assert!(
-                lazy.stats.refactorizations < eager.stats.refactorizations,
-                "{engine:?}: lazy path refactorized as often as eager: {:?} vs {:?}",
-                lazy.stats,
-                eager.stats
-            );
-            // Values agree too, not just objectives.
-            for (a, b) in eager.values().iter().zip(lazy.values()) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{engine:?}: values diverged: {a} vs {b}"
-                );
-            }
+        let (m, _) = band_lp(40, 5, 0xE7A);
+        let lazy = m.solve_with(&opts(Engine::Lu)).expect("lazy solves");
+        let eager =
+            refactoring_every_pivot(|| m.solve_with(&opts(Engine::Lu))).expect("eager solves");
+        assert_close(eager.objective, lazy.objective);
+        assert!(
+            eager.stats.refactorizations > 0,
+            "per-pivot hook never refactorized: {:?}",
+            eager.stats
+        );
+        assert!(
+            lazy.stats.refactorizations < eager.stats.refactorizations,
+            "lazy path refactorized as often as eager: {:?} vs {:?}",
+            lazy.stats,
+            eager.stats
+        );
+        // Values agree too, not just objectives.
+        for (a, b) in eager.values().iter().zip(lazy.values()) {
+            assert!((a - b).abs() < 1e-6, "values diverged: {a} vs {b}");
         }
     }
 
@@ -2193,31 +1845,22 @@ mod tests {
                 })
                 .collect()
         };
-        for engine in SPARSE_ENGINES {
-            let run = |interval: u64| -> Vec<f64> {
-                let (mut m, vars) = band_lp(30, 4, 0xBEE);
-                let o = SolveOptions {
-                    refactor_interval: interval,
-                    ..opts(engine)
-                };
-                let mut batch = BatchSolver::new(&mut m);
-                objectives
-                    .iter()
-                    .map(|(sense, cs)| {
-                        let e =
-                            LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
-                        batch.solve(*sense, e, &o).expect("solves").objective
-                    })
-                    .collect()
-            };
-            let lazy = run(0);
-            let eager = run(1);
-            for (a, b) in eager.iter().zip(&lazy) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{engine:?}: sweep diverged: {a} vs {b}"
-                );
-            }
+        let run = || -> Vec<f64> {
+            let (mut m, vars) = band_lp(30, 4, 0xBEE);
+            let o = opts(Engine::Lu);
+            let mut batch = BatchSolver::new(&mut m);
+            objectives
+                .iter()
+                .map(|(sense, cs)| {
+                    let e = LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
+                    batch.solve(*sense, e, &o).expect("solves").objective
+                })
+                .collect()
+        };
+        let lazy = run();
+        let eager = refactoring_every_pivot(run);
+        for (a, b) in eager.iter().zip(&lazy) {
+            assert!((a - b).abs() < 1e-6, "sweep diverged: {a} vs {b}");
         }
     }
 
@@ -2279,13 +1922,11 @@ mod tests {
     #[test]
     fn large_band_problem_solves_within_pivot_budget() {
         // A conv-window-sized skeleton: 220 rows, bandwidth 7. The dense
-        // engine pays O(m·ncols) per pivot here; the sparse engines must
-        // still agree with it exactly.
+        // engine pays O(m·ncols) per pivot here; the LU engine must still
+        // agree with it exactly.
         let (m, _) = band_lp(220, 7, 0xC06);
         let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
-        for engine in SPARSE_ENGINES {
-            let sparse = m.solve_with(&opts(engine)).expect("sparse solves");
-            assert_close(sparse.objective, dense.objective);
-        }
+        let lu = m.solve_with(&opts(Engine::Lu)).expect("lu solves");
+        assert_close(lu.objective, dense.objective);
     }
 }

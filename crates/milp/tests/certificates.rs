@@ -73,7 +73,7 @@ fn textbook() -> Model {
 
 #[test]
 fn both_engines_emit_checkable_certificates() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let m = textbook();
         let sol = m.solve_with(&opts(engine)).unwrap();
         assert!(sol.is_certified(), "{engine:?} should certify");
@@ -134,7 +134,7 @@ fn corrupted_certificates_are_rejected() {
 
 #[test]
 fn warm_started_solves_carry_certificates() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let m = textbook();
         let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
@@ -157,7 +157,7 @@ fn warm_started_solves_carry_certificates() {
 
 #[test]
 fn batch_resident_sweep_certificates_survive_warm_starts() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let mut m = Model::new();
         let x = m.add_var(0.0, 10.0);

@@ -28,7 +28,7 @@ fn drifty() -> Model {
 
 #[test]
 fn cold_solves_report_measured_residual() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let m = drifty();
         let sol = m.solve_with(&opts(engine)).unwrap();
         let measured = m.violation(sol.values());
@@ -60,7 +60,7 @@ fn warm_started_solves_report_measured_residual() {
         m.set_objective(obj_sense, cz * z + 1.0 * x);
         m
     };
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let m = skeleton(Sense::Maximize, 1.0);
         let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
@@ -80,7 +80,7 @@ fn warm_started_solves_report_measured_residual() {
 
 #[test]
 fn batch_resident_solves_report_measured_residual() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let mut m = Model::new();
         let x = m.add_var(1.0, 1.0);
