@@ -7,8 +7,8 @@
 //! that fallback (both are sound, so the intersection is sound and tighter).
 //!
 //! Every LP optimum passes through one pipeline before it becomes a bound
-//! ([`certified_bound`]): pad outward by [`SOUND_SLACK`] plus a relative
-//! term, snap outward onto [`BOUND_GRID`], and — when certificate checking
+//! (`certified_bound`): pad outward by `SOUND_SLACK` plus a relative
+//! term, snap outward onto `BOUND_GRID`, and — when certificate checking
 //! is on — validate the *snapped* claim against the solve's
 //! [`itne_milp::DualCertificate`] in exact rational arithmetic
 //! (`itne_certcheck`). A bound whose certificate fails the check is
@@ -180,8 +180,8 @@ impl QueryStats {
         self.warm_misses = self.warm_misses.saturating_add(batch.warm_misses);
         self.pivots_saved = self.pivots_saved.saturating_add(batch.pivots_saved);
         // Seed hits are warm starts from a basis stored by an *earlier*
-        // query over the same encoding (only `BatchSolver::with_seed` sweeps
-        // can have them; plain batches report zero).
+        // query over the same encoding (only `BatchSolver::solve_slot`
+        // sweeps can have them; plain batches report zero).
         self.cross_query_warm_hits = self.cross_query_warm_hits.saturating_add(batch.seed_hits);
     }
 }
@@ -478,8 +478,10 @@ pub(crate) const BASIS_SLOTS: usize = 4;
 /// [`lp_relax_y`] against a resident encoding: identical objectives and the
 /// same certified-bound pipeline, but each directed solve starts from the
 /// basis the *previous query* stored for the same objective
-/// ([`BatchSolver::solve_slot`]) — already optimal when only δ moved, so hot
-/// queries pivot rarely — and writes its final basis back for the next one.
+/// ([`BatchSolver::solve_slot`]) and writes its final basis back for the
+/// next one. A stored basis that a δ or weight change made infeasible is
+/// replaced by the sweep's previous final basis, so the solve reoptimizes
+/// phase 2 instead of solving cold.
 /// The sweep shares one live engine: the first restore rebuilds it from its
 /// snapshot, later restores rebase it in place, paying a basis
 /// refactorization instead of a skeleton compile per solve. Results are

@@ -2,22 +2,25 @@
 //! certification queries skip work a one-shot run redoes every time.
 //!
 //! A [`ResidentState`] owns, per neuron and per pass (`LpRelaxY` /
-//! `LpRelaxX`), a [`SubCache`]: the encoded sub-network, the refined-neuron
+//! `LpRelaxX`), a `SubCache`: the encoded sub-network, the refined-neuron
 //! set it was built for, and one simplex [`Basis`] per directed objective
 //! from the previous query's sweep. Across queries the engine then
 //!
 //! 1. **re-parameterizes instead of re-encoding**: a new δ (or a small
 //!    weight update) changes relaxation coefficients and RHS values but
 //!    usually not the constraint *skeleton*; the cached encoding is replayed
-//!    in place ([`crate::encode::reencode_subnet`]) and only rebuilt from
+//!    in place (`encode::reencode_subnet`) and only rebuilt from
 //!    scratch when the structure actually changed (counted in
 //!    [`QueryStats::encoding_cache_misses`]);
 //! 2. **warm-starts across queries**: each directed solve restores the basis
 //!    the *previous query* stored for the same objective
-//!    ([`QueryStats::cross_query_warm_hits`]) — already optimal when only δ
-//!    moved, so hot queries pivot rarely — and, because a
-//!    [`ResidentState`] can be cloned from a predecessor network's session,
-//!    to **delta re-certification** after a fine-tuning step.
+//!    ([`QueryStats::cross_query_warm_hits`]). A small δ step usually
+//!    leaves it optimal or a few pivots away; a larger one can make it
+//!    primal infeasible, and then the solve restarts phase 2 from the basis
+//!    its sweep's previous solve ended at rather than from scratch. A
+//!    [`ResidentState`] can also be cloned from a predecessor network's
+//!    session, which extends these warm starts to **delta
+//!    re-certification** after a fine-tuning step.
 //!
 //! Both reuse layers are pure optimizations: replay verifies the skeleton
 //! bit-for-bit and falls back to a fresh encode, and warm starts fall back
@@ -230,12 +233,17 @@ mod tests {
         let domain = [(-1.0, 1.0); 4];
         let opts = CertifyOptions {
             threads: 1,
+            check_certificates: true,
             ..Default::default()
         };
         let dom_iv: Vec<Interval> = domain.iter().map(|&(l, h)| Interval::new(l, h)).collect();
         let pre = ibp_values(&net, &dom_iv);
         let mut state = ResidentState::new();
-        for (i, delta) in [0.001, 0.002, 0.001, 0.0005].into_iter().enumerate() {
+        // The first four δ never make a stored basis stale; the large jumps
+        // after them do, so those queries restore bases that no longer fit.
+        let deltas = [0.001, 0.002, 0.001, 0.0005, 0.2, 0.01, 0.3, 0.02];
+        let (mut not_warm, mut misses) = (0u64, 0u64);
+        for (i, delta) in deltas.into_iter().enumerate() {
             let cold = certify_global_affine(&net, &domain, delta, &opts).unwrap();
             let res = certify_global_resident(&net, &domain, delta, &opts, Some(&pre), &mut state)
                 .unwrap();
@@ -244,6 +252,8 @@ mod tests {
             if i == 0 {
                 assert!(res.stats.query.encoding_cache_misses > 0);
             } else {
+                not_warm += res.stats.query.solves - res.stats.query.warm_hits;
+                misses += res.stats.query.warm_misses;
                 assert!(
                     res.stats.query.encoding_cache_hits > 0,
                     "repeat query never reused an encoding: {:?}",
@@ -256,6 +266,14 @@ mod tests {
                 );
             }
         }
+        // A rejected restore is rescued from the sweep's last final basis,
+        // so across the repeat queries stale restores outnumber the solves
+        // that were not warm. Were every stale restore solved cold, there
+        // would be at least as many of the latter.
+        assert!(
+            not_warm < misses,
+            "stale restores solved cold: {not_warm} not warm, {misses} misses"
+        );
         // Revisiting an earlier δ must also still match its cold run.
         let cold = certify_global_affine(&net, &domain, 0.002, &opts).unwrap();
         let res =

@@ -9,8 +9,9 @@
 //! its final [`Basis`]; each subsequent solve restores the snapshot — already
 //! primal feasible — and reoptimizes phase 2 only. Whenever a restore cannot
 //! complete (singular refactorization, stale snapshot, numerical trouble),
-//! the solve transparently falls back to a cold solve, so results never
-//! depend on whether a warm start succeeded.
+//! the solve transparently falls back — a stale cross-sweep slot first to
+//! the sweep's last final basis, everything else to a cold solve — so
+//! results never depend on whether a warm start succeeded.
 //!
 //! Mixed-integer models are accepted for uniformity but always solved cold
 //! through branch-and-bound (warm-starting a B&B tree is out of scope); the
@@ -29,7 +30,10 @@ pub struct BatchStats {
     pub solves: u64,
     /// Solves completed from a restored basis (phase 1 skipped).
     pub warm_hits: u64,
-    /// Warm attempts that were rejected and fell back to a cold solve.
+    /// Rejected warm attempts, at most one per solve: a slot or chain
+    /// restore that no longer fits. The solve then either reoptimizes from
+    /// the sweep's last final basis (also counted in
+    /// [`BatchStats::warm_hits`]) or runs cold.
     pub warm_misses: u64,
     /// Solves that ran cold because no snapshot was available (the first
     /// solve of every sweep, MILP solves, and everything after a failure).
@@ -90,6 +94,11 @@ pub struct BatchSolver<'m> {
     /// mechanism for warm starts *across* model instances
     /// ([`Model::solve_with_basis`]).
     resident: Option<Resident>,
+    /// The final basis of this sweep's most recent [`BatchSolver::solve_slot`]
+    /// that stored one. It is optimal for another objective over this very
+    /// model, so it is primal feasible here: the restore to try when a
+    /// slot's basis no longer fits.
+    last_final: Option<Basis>,
     /// Pivot count of the most recent cold solve, the baseline for
     /// [`BatchStats::pivots_saved`].
     last_cold_pivots: u64,
@@ -104,6 +113,7 @@ impl<'m> BatchSolver<'m> {
         BatchSolver {
             model,
             resident: None,
+            last_final: None,
             last_cold_pivots: 0,
             stats: BatchStats::default(),
         }
@@ -171,10 +181,7 @@ impl<'m> BatchSolver<'m> {
             if let Some(resident) = &mut self.resident {
                 match resident.resolve(self.model, opts) {
                     Ok(ResolveOutcome::Solved(sol)) => {
-                        self.stats.warm_hits += 1;
-                        self.stats.pivots += sol.stats.pivots;
-                        self.stats.pivots_saved +=
-                            self.last_cold_pivots.saturating_sub(sol.stats.pivots);
+                        self.count_warm_hit(&sol);
                         return Ok(sol);
                     }
                     Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
@@ -213,11 +220,15 @@ impl<'m> BatchSolver<'m> {
     /// the next one.
     ///
     /// With a live resident the restore reuses the compiled skeleton and
-    /// working arrays and pays only a basis refactorization
-    /// ([`Resident::resolve_from`]); the sweep's first solve rebuilds the
-    /// engine from the snapshot. Both restores fall back transparently —
-    /// first to the within-sweep chain, then to a cold solve — so the slot
-    /// is advisory and never affects results, only the work counters.
+    /// working arrays and pays only a basis refactorization; the sweep's
+    /// first solve rebuilds the engine from the snapshot. A slot stored
+    /// under another δ or weight version may no longer be primal feasible.
+    /// When restoring it into the live resident is rejected, the solve
+    /// restores this sweep's most recent final basis instead — optimal for
+    /// another objective over the same model, hence feasible — and
+    /// reoptimizes phase 2 only (one warm miss plus one warm hit). Any other
+    /// rejection falls back to a cold solve, so the slot is advisory and
+    /// never affects results, only the work counters.
     ///
     /// # Errors
     ///
@@ -254,22 +265,32 @@ impl<'m> BatchSolver<'m> {
                 // Slot restore against the live engine: skeleton and working
                 // arrays are reused, only the basis is refactorized.
                 if let Some(resident) = &mut self.resident {
-                    match resident.resolve_from(self.model, opts, warm) {
+                    let outcome = match resident.resolve_from(self.model, opts, warm) {
                         Ok(ResolveOutcome::Solved(sol)) => {
-                            self.stats.warm_hits += 1;
                             self.stats.seed_hits += 1;
-                            self.stats.pivots += sol.stats.pivots;
-                            self.stats.pivots_saved +=
-                                self.last_cold_pivots.saturating_sub(sol.stats.pivots);
+                            Ok(ResolveOutcome::Solved(sol))
+                        }
+                        Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
+                            // A stale slot: a full rebuild from it would
+                            // reject for the same reason, but the sweep's
+                            // last final basis fits this model. The engine
+                            // may be restored into again after a rejection.
+                            self.stats.warm_misses += 1;
+                            self.stats.pivots += wasted_pivots;
+                            match &self.last_final {
+                                Some(last) => resident.resolve_from(self.model, opts, last),
+                                None => Ok(ResolveOutcome::Rejected { wasted_pivots: 0 }),
+                            }
+                        }
+                        Err(e) => Err(e),
+                    };
+                    match outcome {
+                        Ok(ResolveOutcome::Solved(sol)) => {
+                            self.count_warm_hit(&sol);
                             self.store_slot(slot);
                             return Ok(sol);
                         }
                         Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
-                            // The failed restore may have left the engine
-                            // inconsistent; a full rebuild from the same
-                            // snapshot would reject for the same reason, so
-                            // go straight to a cold solve.
-                            self.stats.warm_misses += 1;
                             self.stats.pivots += wasted_pivots;
                             self.resident = None;
                         }
@@ -299,10 +320,7 @@ impl<'m> BatchSolver<'m> {
                 // Empty slot: chain from the previous solve as `solve` does.
                 match resident.resolve(self.model, opts) {
                     Ok(ResolveOutcome::Solved(sol)) => {
-                        self.stats.warm_hits += 1;
-                        self.stats.pivots += sol.stats.pivots;
-                        self.stats.pivots_saved +=
-                            self.last_cold_pivots.saturating_sub(sol.stats.pivots);
+                        self.count_warm_hit(&sol);
                         self.store_slot(slot);
                         return Ok(sol);
                     }
@@ -335,12 +353,21 @@ impl<'m> BatchSolver<'m> {
         }
     }
 
+    /// Counts a solve answered by reoptimizing a live resident.
+    fn count_warm_hit(&mut self, sol: &Solution) {
+        self.stats.warm_hits += 1;
+        self.stats.pivots += sol.stats.pivots;
+        self.stats.pivots_saved += self.last_cold_pivots.saturating_sub(sol.stats.pivots);
+    }
+
     /// Writes the current resident's final basis into `slot` for the next
-    /// sweep. A basis that cannot be snapshotted (artificial still basic)
-    /// leaves the previous slot content in place — it is still the best
-    /// known start for this objective.
-    fn store_slot(&self, slot: &mut Option<Basis>) {
+    /// sweep, keeping a copy as this sweep's rescue basis
+    /// (`last_final`). A basis that cannot be snapshotted (artificial still
+    /// basic) leaves the previous slot content in place — it is still the
+    /// best known start for this objective.
+    fn store_slot(&mut self, slot: &mut Option<Basis>) {
         if let Some(b) = self.snapshot() {
+            self.last_final = Some(b.clone());
             *slot = Some(b);
         }
     }
@@ -483,8 +510,8 @@ mod tests {
     /// later sweep over an identical model restarts every objective from its
     /// slot — the first solve rebuilding the engine from the snapshot, the
     /// second restoring into the live core — with no pivots and the same
-    /// bits. A slot from a differently shaped model is rejected and the
-    /// solve falls back cold.
+    /// bits. A slot from a differently shaped model is rejected, and the
+    /// solve reoptimizes from the sweep's last final basis instead.
     #[test]
     fn solve_slot_replays_stored_bases_across_sweeps() {
         let (m, x, y) = skeleton();
@@ -522,7 +549,8 @@ mod tests {
         assert_eq!(stats.warm_hits, 2, "{stats:?}");
         assert_eq!((stats.cold_solves, stats.warm_misses), (0, 0), "{stats:?}");
 
-        // A slot from a model with an extra row cannot restore here.
+        // A slot from a model with an extra row cannot restore here; the
+        // sweep's last final basis answers warm instead of a cold solve.
         let mut other = m.clone();
         other.add_constraint(1.0 * x, Cmp::Le, 4.0);
         other.set_objective(Sense::Maximize, 1.0 * x);
@@ -534,8 +562,92 @@ mod tests {
         assert!((got.objective - 4.5).abs() < 1e-9, "{}", got.objective);
         let stats = replay.stats();
         assert_eq!(stats.warm_misses, 1, "{stats:?}");
-        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+        assert_eq!(stats.warm_hits, 3, "{stats:?}");
+        assert_eq!(stats.cold_solves, 0, "{stats:?}");
         assert_eq!(stats.seed_hits, 2, "{stats:?}");
+    }
+
+    /// A bound tightened in place between sweeps, as a δ shrink does, makes
+    /// a stored optimum infeasible. Its restore is rejected, and the solve
+    /// reoptimizes phase 2 from the basis the sweep's previous solve ended
+    /// at, which fits the tightened model, instead of solving cold.
+    #[test]
+    fn stale_slot_reoptimizes_from_the_sweeps_last_basis() {
+        let (m, x, y) = skeleton();
+        let opts = SolveOptions::default();
+        // Optima (3, 3) and (0.5, 5.5).
+        let objectives = [
+            (Sense::Maximize, 3.0 * x + 2.0 * y),
+            (Sense::Maximize, 1.0 * y),
+        ];
+        let mut slots: [Option<Basis>; 2] = [None, None];
+        let mut first_model = m.clone();
+        let mut first = BatchSolver::new(&mut first_model);
+        for ((sense, e), slot) in objectives.iter().zip(&mut slots) {
+            first.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+        }
+        assert!(slots.iter().all(Option::is_some), "every slot stored");
+
+        // y ≤ 5 keeps (3, 3) but cuts off (0.5, 5.5).
+        let mut tight = m.clone();
+        tight.set_bounds(y, 0.0, 5.0);
+        let cold: Vec<f64> = objectives
+            .iter()
+            .map(|(sense, e)| {
+                let mut fresh = tight.clone();
+                fresh.set_objective(*sense, e.clone());
+                fresh.solve_with(&opts).unwrap().objective
+            })
+            .collect();
+        let mut replay = BatchSolver::new(&mut tight);
+        for (((sense, e), slot), cold) in objectives.iter().zip(&mut slots).zip(&cold) {
+            let got = replay.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+            assert!(
+                (got.objective - cold).abs() < 1e-9,
+                "{} vs {cold}",
+                got.objective
+            );
+        }
+        let stats = replay.stats();
+        assert_eq!(stats.warm_misses, 1, "{stats:?}");
+        assert_eq!(stats.cold_solves, 0, "{stats:?}");
+        assert_eq!((stats.warm_hits, stats.seed_hits), (2, 1), "{stats:?}");
+
+        // The rescued solve stored its own final basis: a further sweep over
+        // the tightened model replays both slots without a pivot.
+        let mut again_model = tight.clone();
+        let mut again = BatchSolver::new(&mut again_model);
+        for ((sense, e), slot) in objectives.iter().zip(&mut slots) {
+            let got = again.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+            assert_eq!(got.stats.pivots, 0);
+        }
+        let stats = again.stats();
+        assert_eq!((stats.seed_hits, stats.warm_misses), (2, 0), "{stats:?}");
+    }
+
+    /// The dense engine's `resolve_from` always rejects, so its rescue does
+    /// too and a slot restore there still goes cold (and answers correctly).
+    #[test]
+    fn dense_engine_slot_restores_solve_cold() {
+        let (mut m, x, y) = skeleton();
+        let opts = SolveOptions {
+            engine: crate::Engine::Dense,
+            ..Default::default()
+        };
+        let mut slot = None;
+        let mut batch = BatchSolver::new(&mut m);
+        batch.solve(Sense::Maximize, 1.0 * x, &opts).unwrap();
+        let got = batch
+            .solve_slot(Sense::Maximize, 3.0 * x + 2.0 * y, &opts, &mut slot)
+            .unwrap();
+        assert!((got.objective - 15.0).abs() < 1e-9, "{}", got.objective);
+        let got = batch
+            .solve_slot(Sense::Maximize, 1.0 * y, &opts, &mut slot)
+            .unwrap();
+        assert!((got.objective - 5.5).abs() < 1e-9, "{}", got.objective);
+        let stats = batch.stats();
+        assert_eq!(stats.warm_misses, 1, "{stats:?}");
+        assert_eq!(stats.cold_solves, 2, "{stats:?}");
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub(crate) enum WarmOutcome {
 }
 
 /// [`WarmOutcome`] whose success variant keeps the live engine state instead
-/// of flattening it to a [`Basis`] snapshot, so a seeded sweep
-/// ([`crate::BatchSolver::with_seed`]) can chain later objectives through
+/// of flattening it to a [`Basis`] snapshot, so a slot sweep
+/// ([`crate::BatchSolver::solve_slot`]) can chain later objectives through
 /// in-place reoptimization — paying the snapshot-restore refactorization
 /// once per sweep rather than once per solve.
 #[allow(clippy::large_enum_variant)]
@@ -136,11 +136,12 @@ impl Resident {
     /// instead of continuing from the current one — the slot-restore path of
     /// a resident sweep. The LU engine reuses the live core (skeleton and
     /// working arrays) and pays only the basis refactorization; the dense
-    /// engine rejects, so its callers fall back to a chain or cold solve
-    /// (dense exists for differential testing, not throughput).
+    /// engine rejects, so its callers fall back to a cold solve (dense
+    /// exists for differential testing, not throughput).
     ///
-    /// After a rejection the engine state may be inconsistent — the caller
-    /// must discard this resident.
+    /// A restore rewrites all basis state, so after a rejection the
+    /// resident may be restored into again, e.g. from a basis known to be
+    /// feasible for this model.
     pub(crate) fn resolve_from(
         &mut self,
         model: &Model,
@@ -859,8 +860,8 @@ pub(crate) fn solve_lp_warm(
 }
 
 /// [`solve_lp_warm`] variant that hands back the live engine state on
-/// success (see [`WarmResidentOutcome`]): the seeded batch path
-/// ([`crate::BatchSolver::with_seed`]) installs it as the sweep's resident
+/// success (see [`WarmResidentOutcome`]): the slot batch path
+/// ([`crate::BatchSolver::solve_slot`]) installs it as the sweep's resident
 /// tableau, so the restore refactorization is paid once per sweep instead of
 /// once per solve.
 pub(crate) fn solve_lp_warm_resident(

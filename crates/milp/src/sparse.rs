@@ -1374,9 +1374,11 @@ impl SparseResident {
     /// sweep's slot restore and a snapshot warm start (over
     /// [`SparseResident::empty`]) both pay only the basis refactorization.
     ///
-    /// On [`ResolveOutcome::Rejected`] the core's basis state has been
-    /// overwritten and may be inconsistent; the caller must discard this
-    /// resident and solve cold.
+    /// Every piece of basis state (column states, non-basic values, the
+    /// basis heading, the factors, the basic values and the per-solve
+    /// counters) is rewritten on entry, so after a
+    /// [`ResolveOutcome::Rejected`] the resident may be restored into
+    /// again; only [`SparseResident::resolve`] needs a consistent state.
     pub(crate) fn resolve_from(
         &mut self,
         model: &Model,
