@@ -86,9 +86,10 @@ struct Row {
     /// Peak LU fill (stored `L`+`U` non-zeros) across all solves.
     lu_fill_nnz: u64,
     /// Resident-cache telemetry, shared schema with `serve_bench`'s JSON.
-    /// This binary's one-shot runs never hit the encoding cache, so hits
-    /// stay zero here; the fields exist so cross-PR tooling reads one row
-    /// shape for both outputs.
+    /// This binary's one-shot runs encode every sub-problem into a
+    /// throwaway cache: each encode counts in `encoding_cache_misses`, and
+    /// hits and cross-query warm hits stay zero. The fields exist so
+    /// cross-PR tooling reads one row shape for both outputs.
     encoding_cache_hits: u64,
     encoding_cache_misses: u64,
     cross_query_warm_hits: u64,

@@ -16,16 +16,13 @@
 //! index — bit-identical bounds at every thread count and steal schedule.
 
 use crate::bounds::TwinBounds;
-use crate::encode::{
-    encode_subnet, encode_subnet_with, refined_for, EncodeOptions, EncodingKind, Relaxation,
-    TargetKind, TargetOverride,
-};
+use crate::encode::{EncodeOptions, EncodingKind, Relaxation, TargetKind, TargetOverride};
 use crate::error::CertifyError;
 use crate::ibp::{ibp_twin, ibp_twin_from_values, ValuePreBounds};
 use crate::interval::{distance_relaxation_bounds, relu_distance_range, Interval};
-use crate::query::{lp_relax_x, lp_relax_x_resident, lp_relax_y, lp_relax_y_resident, QueryStats};
+use crate::query::{relax, QueryStats};
 use crate::refine::select_refined;
-use crate::resident::{NeuronCache, ResidentState};
+use crate::resident::{prepare_subcache, NeuronCache, ResidentState};
 use crate::schedule::{run_steal, Step};
 use crate::subnet::SubNetwork;
 use itne_milp::{Engine, SolveOptions};
@@ -346,8 +343,9 @@ pub fn propagate(
 }
 
 /// [`propagate`] with optional resident cache state. With `pre = None` and
-/// `resident = None` this *is* the one-shot path, bit for bit. `pre` skips
-/// the δ-independent half of the IBP seed (it must come from
+/// `resident = None` this *is* the one-shot path: every neuron runs the same
+/// encode-and-sweep steps in a throwaway cache that its task drops. `pre`
+/// skips the δ-independent half of the IBP seed (it must come from
 /// [`crate::ibp::ibp_values`] over the same network and domain); `resident`
 /// reuses per-neuron encodings and basis snapshots across calls and stores
 /// the updated state back, which is the engine behind
@@ -369,14 +367,18 @@ pub(crate) fn propagate_cached(
     if opts.encoding == EncodingKind::Btne {
         bounds.decouple_distances();
     }
-    let caching = resident.is_some();
     let mut stats = CertifyStats::default();
     let solver = opts.solver_options();
 
     for li in 0..aff.layers.len() {
         let width = aff.layers[li].width();
         let caches: Vec<Option<Box<NeuronCache>>> = match resident.as_deref_mut() {
-            Some(r) => r.take_layer(li, width),
+            // A neuron's first resident query starts the cache it keeps.
+            Some(r) => r
+                .take_layer(li, width)
+                .into_iter()
+                .map(|cache| Some(cache.unwrap_or_default()))
+                .collect(),
             None => (0..width).map(|_| None).collect(),
         };
         let initial: Vec<LayerTask<'_>> = caches
@@ -385,7 +387,7 @@ pub(crate) fn propagate_cached(
             .map(|(j, cache)| LayerTask::Sweep { j, cache })
             .collect();
         let (results, accs) = run_steal(opts.threads, initial, width, |task, acc| {
-            run_task(aff, &bounds, li, delta, opts, &solver, caching, task, acc)
+            run_task(aff, &bounds, li, delta, opts, &solver, task, acc)
         });
         for (j, r) in results.into_iter().enumerate() {
             bounds.y[li][j] = r.y;
@@ -411,8 +413,9 @@ pub(crate) fn propagate_cached(
 /// or the `LpRelaxX` follow-up it spawned (kept separate so an idle worker
 /// can steal the X part of a neighboring neuron while its Y owner is still
 /// deep in another unit). Each unit carries the neuron's resident cache by
-/// value (`None` on the one-shot path), so cached state needs no locking:
-/// exactly one worker owns a neuron's cache at any time.
+/// value, so cached state needs no locking: exactly one worker owns a
+/// neuron's cache at any time. On the one-shot path it is `None`, and each
+/// unit encodes into a throwaway cache it drops when it finishes.
 enum LayerTask<'a> {
     Sweep {
         j: usize,
@@ -460,49 +463,39 @@ fn run_task<'a>(
     delta: f64,
     opts: &CertifyOptions,
     solver: &SolveOptions,
-    caching: bool,
     task: LayerTask<'a>,
     acc: &mut WorkerAcc,
 ) -> Step<LayerTask<'a>, NeuronResult> {
     let enc_opts = opts.encode_options(delta);
+    let check = opts.check_certificates;
+    // Without a resident cache, the unit works in this one.
+    let mut scratch = NeuronCache::default();
     match task {
         LayerTask::Sweep { j, mut cache } => {
             let sub = SubNetwork::decompose(aff, li, j, opts.window);
 
             // --- LpRelaxY: ranges of (y, Δy). ---
-            let (yr, dyr) = if caching {
-                let nc = cache.get_or_insert_with(Default::default);
-                let refined = refined_for(&sub, bounds, TargetKind::PreActivation, &enc_opts);
-                let sc = crate::resident::prepare_subcache(
-                    &mut nc.y,
-                    &sub,
-                    bounds,
-                    TargetKind::PreActivation,
-                    &enc_opts,
-                    None,
-                    refined,
-                    &mut acc.stats,
-                );
-                lp_relax_y_resident(
-                    &mut sc.enc,
-                    bounds.y[li][j],
-                    bounds.dy[li][j],
-                    solver,
-                    opts.check_certificates,
-                    &mut sc.bases,
-                    &mut acc.stats,
-                )
-            } else {
-                let mut enc_y = encode_subnet(&sub, bounds, TargetKind::PreActivation, &enc_opts);
-                lp_relax_y(
-                    &mut enc_y,
-                    bounds.y[li][j],
-                    bounds.dy[li][j],
-                    solver,
-                    opts.check_certificates,
-                    &mut acc.stats,
-                )
-            };
+            let nc = cache.as_deref_mut().unwrap_or(&mut scratch);
+            let target = TargetKind::PreActivation;
+            let sc = prepare_subcache(
+                &mut nc.y,
+                &sub,
+                bounds,
+                target,
+                &enc_opts,
+                None,
+                &mut acc.stats,
+            );
+            let (yr, dyr) = relax(
+                &mut sc.enc,
+                target,
+                bounds.y[li][j],
+                bounds.dy[li][j],
+                solver,
+                check,
+                &mut sc.bases,
+                &mut acc.stats,
+            );
             acc.subproblems = acc.subproblems.saturating_add(1);
 
             let relu = aff.layers[li].relu;
@@ -561,45 +554,27 @@ fn run_task<'a>(
                 x: yr.relu(),
                 dx: fallback_dx(yr, dyr, opts.encoding),
             };
-            let (x, dx) = if caching {
-                let nc = cache.get_or_insert_with(Default::default);
-                let refined = refined_for(&sub, bounds, TargetKind::PostActivation, &enc_opts);
-                let sc = crate::resident::prepare_subcache(
-                    &mut nc.x,
-                    &sub,
-                    bounds,
-                    TargetKind::PostActivation,
-                    &enc_opts,
-                    Some(over),
-                    refined,
-                    &mut acc.stats,
-                );
-                lp_relax_x_resident(
-                    &mut sc.enc,
-                    over.x,
-                    over.dx,
-                    solver,
-                    opts.check_certificates,
-                    &mut sc.bases,
-                    &mut acc.stats,
-                )
-            } else {
-                let mut enc_x = encode_subnet_with(
-                    &sub,
-                    bounds,
-                    TargetKind::PostActivation,
-                    &enc_opts,
-                    Some(over),
-                );
-                lp_relax_x(
-                    &mut enc_x,
-                    over.x,
-                    over.dx,
-                    solver,
-                    opts.check_certificates,
-                    &mut acc.stats,
-                )
-            };
+            let nc = cache.as_deref_mut().unwrap_or(&mut scratch);
+            let target = TargetKind::PostActivation;
+            let sc = prepare_subcache(
+                &mut nc.x,
+                &sub,
+                bounds,
+                target,
+                &enc_opts,
+                Some(over),
+                &mut acc.stats,
+            );
+            let (x, dx) = relax(
+                &mut sc.enc,
+                target,
+                over.x,
+                over.dx,
+                solver,
+                check,
+                &mut sc.bases,
+                &mut acc.stats,
+            );
             Step::Done {
                 slot: j,
                 result: NeuronResult {

@@ -17,18 +17,25 @@
 //!
 //! Each sub-problem encodes its skeleton **once** and sweeps all of its
 //! objectives (min/max of the target's value and distance expressions)
-//! through one [`BatchSolver`]: the first solve runs cold, every later one
-//! warm-starts from the previous optimal basis and skips simplex phase 1.
-//! Warm starting is a pure optimization — a basis that cannot be restored
-//! falls back to a cold solve inside the batch layer — so certified ranges
-//! are identical to the per-objective cold path (asserted bit-for-bit by the
-//! golden regression suite; disable via [`SolveOptions::warm_start`]).
+//! through one [`BatchSolver`] in one body (`relax`). Every directed solve
+//! owns a basis slot: a resident encoding keeps its slots across queries
+//! ([`crate::resident`]), so each solve restarts from the basis the previous
+//! query ended at. The one-shot path is the same sweep over fresh slots
+//! ([`lp_relax_y`], [`lp_relax_x`], and [`crate::propagate`], which hands
+//! each neuron a throwaway cache): the first solve runs cold, every later
+//! one warm-starts from the previous optimal basis and skips simplex
+//! phase 1. Warm starting is a pure optimization — a basis that cannot be
+//! restored falls back to a cold solve inside the batch layer — so certified
+//! ranges are identical to the per-objective cold path (asserted
+//! bit-for-bit by the golden regression suite; disable via
+//! [`SolveOptions::warm_start`]).
 
-use crate::encode::EncodedSubNet;
+use crate::encode::{EncodedSubNet, TargetKind};
 use crate::interval::Interval;
 use itne_certcheck::{verify_bound, RowCmp, RowRef};
 use itne_milp::{
-    Basis, BatchSolver, BatchStats, Cmp, LinExpr, Model, Sense, Solution, SolveOptions, StopWhen,
+    Basis, BatchSolver, BatchStats, Cmp, LinExpr, Model, Sense, Solution, SolveOptions, Stats,
+    StopWhen,
 };
 
 /// Slack added to LP optima before use as bounds, absorbing solver
@@ -172,6 +179,22 @@ impl QueryStats {
             .saturating_add(other.cross_query_warm_hits);
     }
 
+    /// Folds in the work counters of one finished directed solve, through
+    /// the saturating merge of [`QueryStats::absorb`].
+    fn absorb_solve(&mut self, solve: &Stats) {
+        self.absorb(QueryStats {
+            pivots: solve.pivots,
+            nodes: solve.nodes,
+            refactorizations: solve.refactorizations,
+            eta_len: solve.eta_len,
+            nnz: solve.nnz,
+            refactor_time_ns: solve.refactor_time_ns,
+            ftran_btran_time_ns: solve.ftran_btran_time_ns,
+            lu_fill_nnz: solve.lu_fill_nnz,
+            ..QueryStats::default()
+        });
+    }
+
     /// Folds in the warm-start counters of one finished batch sweep. Solve
     /// and pivot counts are *not* taken from the batch — they are already
     /// accounted per query — only the counters unique to batching.
@@ -180,8 +203,8 @@ impl QueryStats {
         self.warm_misses = self.warm_misses.saturating_add(batch.warm_misses);
         self.pivots_saved = self.pivots_saved.saturating_add(batch.pivots_saved);
         // Seed hits are warm starts from a basis stored by an *earlier*
-        // query over the same encoding (only `BatchSolver::solve_slot`
-        // sweeps can have them; plain batches report zero).
+        // query over the same encoding (sweeps over fresh slots report
+        // zero).
         self.cross_query_warm_hits = self.cross_query_warm_hits.saturating_add(batch.seed_hits);
     }
 }
@@ -201,34 +224,145 @@ pub fn default_check_certificates() -> bool {
     })
 }
 
-/// Minimizes and maximizes `expr` over the encoded model, returning a sound
-/// interval clipped to `fallback`.
-pub fn range_of_expr(
+/// Number of basis slots a sub-problem sweep keeps: one per directed
+/// objective, in the fixed order
+/// `[value min, value max, distance min, distance max]`.
+pub(crate) const BASIS_SLOTS: usize = 4;
+
+/// `LpRelaxY`: ranges of the target's pre-activation and its distance,
+/// `(y, Δy)`. For BTNE encodings the distance is the expression `ŷ − y`; for
+/// single-copy encodings it is `[0, 0]`.
+///
+/// The encoding is built once by the caller; all four directed solves (min y,
+/// max y, min Δy, max Δy) run as one warm-started sweep over it: the
+/// crate's one sweep body, `relax`, with fresh basis slots.
+pub fn lp_relax_y(
     enc: &mut EncodedSubNet,
-    expr: LinExpr,
-    fallback: Interval,
+    fallback_y: Interval,
+    fallback_dy: Interval,
     solver: &SolveOptions,
     check: bool,
     stats: &mut QueryStats,
-) -> Interval {
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let r = range_in_batch(&mut batch, expr, fallback, solver, check, stats);
-    stats.absorb_batch(batch.stats());
-    r
+) -> (Interval, Interval) {
+    relax(
+        enc,
+        TargetKind::PreActivation,
+        fallback_y,
+        fallback_dy,
+        solver,
+        check,
+        &mut Default::default(),
+        stats,
+    )
 }
 
-/// [`range_of_expr`] inside an already-open batch sweep, so consecutive
-/// ranges over the same skeleton share one warm-start chain.
-fn range_in_batch(
+/// `LpRelaxX`: ranges of the target's post-activation and its distance,
+/// `(x, Δx)`, swept warm-started over one encoding like [`lp_relax_y`].
+pub fn lp_relax_x(
+    enc: &mut EncodedSubNet,
+    fallback_x: Interval,
+    fallback_dx: Interval,
+    solver: &SolveOptions,
+    check: bool,
+    stats: &mut QueryStats,
+) -> (Interval, Interval) {
+    relax(
+        enc,
+        TargetKind::PostActivation,
+        fallback_x,
+        fallback_dx,
+        solver,
+        check,
+        &mut Default::default(),
+        stats,
+    )
+}
+
+/// The sub-problem sweep behind [`lp_relax_y`] (`target` =
+/// [`TargetKind::PreActivation`]) and [`lp_relax_x`]
+/// ([`TargetKind::PostActivation`]): the value range, then the distance
+/// range, through one [`BatchSolver`] over `enc`.
+///
+/// Each directed solve starts from the basis its slot in `bases` holds —
+/// the one the *previous query* over this encoding stored for the same
+/// objective ([`BatchSolver::solve_slot`]) — and writes its final basis
+/// back for the next one. An empty slot chains from the sweep's previous
+/// solve, or solves cold, so fresh slots are the one-shot path. A stored
+/// basis that a δ or weight change made infeasible is replaced by the
+/// sweep's previous final basis, so the solve reoptimizes phase 2 instead
+/// of solving cold. Results are bit-identical either way: warm starting
+/// never changes certified ranges.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn relax(
+    enc: &mut EncodedSubNet,
+    target: TargetKind,
+    fallback: Interval,
+    fallback_distance: Interval,
+    solver: &SolveOptions,
+    check: bool,
+    bases: &mut [Option<Basis>; BASIS_SLOTS],
+    stats: &mut QueryStats,
+) -> (Interval, Interval) {
+    let t = enc.target_vars();
+    let (value, distance, hat) = match target {
+        TargetKind::PreActivation => (
+            t.y.expect("target has a pre-activation variable"),
+            t.dy,
+            t.yh,
+        ),
+        TargetKind::PostActivation => (
+            t.x.expect("target has a post-activation variable"),
+            t.dx,
+            t.xh,
+        ),
+    };
+    let distance_expr = match (distance, hat) {
+        (Some(d), _) => Some((1.0 * d).compact()),
+        (None, Some(h)) => Some(1.0 * h - 1.0 * value),
+        (None, None) => None,
+    };
+    let [value_lo, value_hi, distance_lo, distance_hi] = bases;
+    let mut batch = BatchSolver::new(&mut enc.model);
+    let value_range = range(
+        &mut batch,
+        (1.0 * value).compact(),
+        fallback,
+        solver,
+        check,
+        [value_lo, value_hi],
+        stats,
+    );
+    let distance_range = match distance_expr {
+        Some(e) => range(
+            &mut batch,
+            e,
+            fallback_distance,
+            solver,
+            check,
+            [distance_lo, distance_hi],
+            stats,
+        ),
+        None => Interval::point(0.0),
+    };
+    stats.absorb_batch(batch.stats());
+    (value_range, distance_range)
+}
+
+/// Minimizes and maximizes `expr` inside an open batch sweep (consecutive
+/// ranges over the same skeleton share one warm-start chain), each directed
+/// solve through its own basis slot (`[min, max]`), and returns a sound
+/// interval clipped to `fallback`.
+fn range(
     batch: &mut BatchSolver<'_>,
     expr: LinExpr,
     fallback: Interval,
     solver: &SolveOptions,
     check: bool,
+    [slot_lo, slot_hi]: [&mut Option<Basis>; 2],
     stats: &mut QueryStats,
 ) -> Interval {
-    let lo_sol = directed_solve(batch, expr.clone(), Sense::Minimize, solver, stats);
-    let hi_sol = directed_solve(batch, expr, Sense::Maximize, solver, stats);
+    let lo_sol = directed_solve(batch, expr.clone(), Sense::Minimize, solver, slot_lo, stats);
+    let hi_sol = directed_solve(batch, expr, Sense::Maximize, solver, slot_hi, stats);
     let grid = interval_grid([
         lo_sol.as_ref().map(Solution::bound_value),
         hi_sol.as_ref().map(Solution::bound_value),
@@ -260,14 +394,15 @@ fn range_in_batch(
         .unwrap_or(fallback)
 }
 
-/// One directed solve. Returns `None` when the solver cannot produce a
-/// solution (errors, or an early-out on a fired stop signal) — the caller
-/// then uses its fallback bound.
+/// One directed solve through [`BatchSolver::solve_slot`]. Returns `None`
+/// when the solver cannot produce a solution (errors, or an early-out on a
+/// fired stop signal) — the caller then uses its fallback bound.
 fn directed_solve(
     batch: &mut BatchSolver<'_>,
     expr: LinExpr,
     sense: Sense,
     solver: &SolveOptions,
+    slot: &mut Option<Basis>,
     stats: &mut QueryStats,
 ) -> Option<Solution> {
     if solver.stop.as_ref().is_some_and(StopWhen::should_stop) {
@@ -275,16 +410,9 @@ fn directed_solve(
         return None;
     }
     stats.solves += 1;
-    match batch.solve(sense, expr, solver) {
+    match batch.solve_slot(sense, expr, solver, slot) {
         Ok(sol) => {
-            stats.pivots += sol.stats.pivots;
-            stats.nodes += sol.stats.nodes;
-            stats.refactorizations += sol.stats.refactorizations;
-            stats.eta_len = stats.eta_len.max(sol.stats.eta_len);
-            stats.nnz = stats.nnz.max(sol.stats.nnz);
-            stats.refactor_time_ns += sol.stats.refactor_time_ns;
-            stats.ftran_btran_time_ns += sol.stats.ftran_btran_time_ns;
-            stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
+            stats.absorb_solve(&sol.stats);
             Some(sol)
         }
         Err(_) => {
@@ -372,286 +500,6 @@ fn certificate_validates(model: &Model, sol: &Solution, sense: Sense, reported: 
         reported,
     )
     .is_valid()
-}
-
-/// `LpRelaxY`: ranges of the target's pre-activation and its distance,
-/// `(y, Δy)`. For BTNE encodings the distance is the expression `ŷ − y`; for
-/// single-copy encodings it is `[0, 0]`.
-///
-/// The encoding is built once by the caller; all four directed solves (min y,
-/// max y, min Δy, max Δy) run as one warm-started sweep over it.
-pub fn lp_relax_y(
-    enc: &mut EncodedSubNet,
-    fallback_y: Interval,
-    fallback_dy: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let y = t.y.expect("target has a pre-activation variable");
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let yr = range_in_batch(
-        &mut batch,
-        (1.0 * y).compact(),
-        fallback_y,
-        solver,
-        check,
-        stats,
-    );
-    let dyr = if let Some(dy) = t.dy {
-        range_in_batch(
-            &mut batch,
-            (1.0 * dy).compact(),
-            fallback_dy,
-            solver,
-            check,
-            stats,
-        )
-    } else if let Some(yh) = t.yh {
-        range_in_batch(
-            &mut batch,
-            1.0 * yh - 1.0 * y,
-            fallback_dy,
-            solver,
-            check,
-            stats,
-        )
-    } else {
-        Interval::point(0.0)
-    };
-    stats.absorb_batch(batch.stats());
-    (yr, dyr)
-}
-
-/// `LpRelaxX`: ranges of the target's post-activation and its distance,
-/// `(x, Δx)`, swept warm-started over one encoding like [`lp_relax_y`].
-pub fn lp_relax_x(
-    enc: &mut EncodedSubNet,
-    fallback_x: Interval,
-    fallback_dx: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let x = t.x.expect("target has a post-activation variable");
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let xr = range_in_batch(
-        &mut batch,
-        (1.0 * x).compact(),
-        fallback_x,
-        solver,
-        check,
-        stats,
-    );
-    let dxr = if let Some(dx) = t.dx {
-        range_in_batch(
-            &mut batch,
-            (1.0 * dx).compact(),
-            fallback_dx,
-            solver,
-            check,
-            stats,
-        )
-    } else if let Some(xh) = t.xh {
-        range_in_batch(
-            &mut batch,
-            1.0 * xh - 1.0 * x,
-            fallback_dx,
-            solver,
-            check,
-            stats,
-        )
-    } else {
-        Interval::point(0.0)
-    };
-    stats.absorb_batch(batch.stats());
-    (xr, dxr)
-}
-
-/// Number of persistent basis slots a resident sub-problem keeps: one per
-/// directed objective, in the fixed order
-/// `[value min, value max, distance min, distance max]`.
-pub(crate) const BASIS_SLOTS: usize = 4;
-
-/// [`lp_relax_y`] against a resident encoding: identical objectives and the
-/// same certified-bound pipeline, but each directed solve starts from the
-/// basis the *previous query* stored for the same objective
-/// ([`BatchSolver::solve_slot`]) and writes its final basis back for the
-/// next one. A stored basis that a δ or weight change made infeasible is
-/// replaced by the sweep's previous final basis, so the solve reoptimizes
-/// phase 2 instead of solving cold.
-/// The sweep shares one live engine: the first restore rebuilds it from its
-/// snapshot, later restores rebase it in place, paying a basis
-/// refactorization instead of a skeleton compile per solve. Results are
-/// bit-identical to [`lp_relax_y`]: warm starting never changes certified
-/// ranges.
-pub(crate) fn lp_relax_y_resident(
-    enc: &mut EncodedSubNet,
-    fallback_y: Interval,
-    fallback_dy: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    bases: &mut [Option<Basis>; BASIS_SLOTS],
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let y = t.y.expect("target has a pre-activation variable");
-    let dy_expr = if let Some(dy) = t.dy {
-        Some((1.0 * dy).compact())
-    } else {
-        t.yh.map(|yh| 1.0 * yh - 1.0 * y)
-    };
-    let (value_slots, distance_slots) = bases.split_at_mut(2);
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let yr = range_in_slots(
-        &mut batch,
-        (1.0 * y).compact(),
-        fallback_y,
-        solver,
-        check,
-        value_slots,
-        stats,
-    );
-    let dyr = match dy_expr {
-        Some(e) => range_in_slots(
-            &mut batch,
-            e,
-            fallback_dy,
-            solver,
-            check,
-            distance_slots,
-            stats,
-        ),
-        None => Interval::point(0.0),
-    };
-    stats.absorb_batch(batch.stats());
-    (yr, dyr)
-}
-
-/// [`lp_relax_x`] against a resident encoding (see [`lp_relax_y_resident`]).
-pub(crate) fn lp_relax_x_resident(
-    enc: &mut EncodedSubNet,
-    fallback_x: Interval,
-    fallback_dx: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    bases: &mut [Option<Basis>; BASIS_SLOTS],
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let x = t.x.expect("target has a post-activation variable");
-    let dx_expr = if let Some(dx) = t.dx {
-        Some((1.0 * dx).compact())
-    } else {
-        t.xh.map(|xh| 1.0 * xh - 1.0 * x)
-    };
-    let (value_slots, distance_slots) = bases.split_at_mut(2);
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let xr = range_in_slots(
-        &mut batch,
-        (1.0 * x).compact(),
-        fallback_x,
-        solver,
-        check,
-        value_slots,
-        stats,
-    );
-    let dxr = match dx_expr {
-        Some(e) => range_in_slots(
-            &mut batch,
-            e,
-            fallback_dx,
-            solver,
-            check,
-            distance_slots,
-            stats,
-        ),
-        None => Interval::point(0.0),
-    };
-    stats.absorb_batch(batch.stats());
-    (xr, dxr)
-}
-
-/// [`range_in_batch`] with persistent basis slots (`slots[0]` = min,
-/// `slots[1]` = max): identical grid decision and [`certified_bound`] gate,
-/// but each directed solve goes through [`BatchSolver::solve_slot`].
-#[allow(clippy::too_many_arguments)]
-fn range_in_slots(
-    batch: &mut BatchSolver<'_>,
-    expr: LinExpr,
-    fallback: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    slots: &mut [Option<Basis>],
-    stats: &mut QueryStats,
-) -> Interval {
-    let (slot_lo, rest) = slots.split_first_mut().expect("two basis slots");
-    let (slot_hi, _) = rest.split_first_mut().expect("two basis slots");
-    let lo_sol = directed_solve_slot(batch, expr.clone(), Sense::Minimize, solver, slot_lo, stats);
-    let hi_sol = directed_solve_slot(batch, expr, Sense::Maximize, solver, slot_hi, stats);
-    let grid = interval_grid([
-        lo_sol.as_ref().map(Solution::bound_value),
-        hi_sol.as_ref().map(Solution::bound_value),
-    ]);
-    // As in `range_in_batch`: both solves installed the same objective
-    // expression, so the model data matches both certificates.
-    let lo = certified_bound(
-        batch.model(),
-        lo_sol,
-        Sense::Minimize,
-        grid,
-        check,
-        fallback.lo,
-        stats,
-    );
-    let hi = certified_bound(
-        batch.model(),
-        hi_sol,
-        Sense::Maximize,
-        grid,
-        check,
-        fallback.hi,
-        stats,
-    );
-    Interval::new(lo.min(hi), hi.max(lo))
-        .intersect(fallback, 1e-9)
-        .unwrap_or(fallback)
-}
-
-/// [`directed_solve`] through [`BatchSolver::solve_slot`] — same stop-check
-/// and stat accounting, plus the persistent slot.
-fn directed_solve_slot(
-    batch: &mut BatchSolver<'_>,
-    expr: LinExpr,
-    sense: Sense,
-    solver: &SolveOptions,
-    slot: &mut Option<Basis>,
-    stats: &mut QueryStats,
-) -> Option<Solution> {
-    if solver.stop.as_ref().is_some_and(StopWhen::should_stop) {
-        stats.fallbacks += 1;
-        return None;
-    }
-    stats.solves += 1;
-    match batch.solve_slot(sense, expr, solver, slot) {
-        Ok(sol) => {
-            stats.pivots += sol.stats.pivots;
-            stats.nodes += sol.stats.nodes;
-            stats.refactorizations += sol.stats.refactorizations;
-            stats.eta_len = stats.eta_len.max(sol.stats.eta_len);
-            stats.nnz = stats.nnz.max(sol.stats.nnz);
-            stats.refactor_time_ns += sol.stats.refactor_time_ns;
-            stats.ftran_btran_time_ns += sol.stats.ftran_btran_time_ns;
-            stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
-            Some(sol)
-        }
-        Err(_) => {
-            stats.fallbacks += 1;
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -773,9 +621,9 @@ mod tests {
 
     #[test]
     fn resident_sweep_matches_batch_and_warm_starts_across_queries() {
-        // The resident solve path (slot-seeded batch sweep) must reproduce
-        // the batch path bit-for-bit, and a repeat query over the same
-        // encoding must warm-start from the stored per-objective bases.
+        // A sweep over kept slots must reproduce the one-shot sweep (fresh
+        // slots) bit-for-bit, and a repeat query over the same encoding must
+        // warm-start from the stored per-objective bases.
         let net = fig1_affine();
         let domain = vec![Interval::new(-1.0, 1.0); 2];
         let bounds = ibp_twin(&net, &domain, 0.1);
@@ -798,8 +646,9 @@ mod tests {
             let mut enc = encode_subnet(&sub, &bounds, TargetKind::PreActivation, &opts);
             let mut bases: [Option<Basis>; BASIS_SLOTS] = Default::default();
             let mut s1 = QueryStats::default();
-            let r1 = lp_relax_y_resident(
+            let r1 = relax(
                 &mut enc,
+                TargetKind::PreActivation,
                 bounds.y[li][j],
                 bounds.dy[li][j],
                 &SolveOptions::default(),
@@ -820,8 +669,9 @@ mod tests {
             // Second query over the same resident encoding: each directed
             // solve restores its own slot instead of running cold phase-1.
             let mut s2 = QueryStats::default();
-            let r2 = lp_relax_y_resident(
+            let r2 = relax(
                 &mut enc,
+                TargetKind::PreActivation,
                 bounds.y[li][j],
                 bounds.dy[li][j],
                 &SolveOptions::default(),
@@ -960,12 +810,13 @@ mod tests {
         m.add_constraint(1.0 * x, Cmp::Le, 2.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range(
             &mut batch,
             (1.0 * x).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            [&mut None, &mut None],
             &mut stats,
         );
         assert_eq!(r, fb);
@@ -980,12 +831,13 @@ mod tests {
         m.add_constraint(1.0 * s, Cmp::Le, 1.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range(
             &mut batch,
             (1.0 * x).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            [&mut None, &mut None],
             &mut stats,
         );
         assert_eq!(r, fb);
@@ -1006,12 +858,13 @@ mod tests {
         let fb = Interval::new(-5.0, 5.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range(
             &mut batch,
             (1.0e308 * x - 1.0e308 * y).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            [&mut None, &mut None],
             &mut stats,
         );
         assert_eq!(r, fb);

@@ -26,11 +26,16 @@
 //! bit-for-bit and falls back to a fresh encode, and warm starts fall back
 //! to cold solves, so resident results are bit-identical to the one-shot
 //! path (asserted by the tests below and the golden suite).
+//!
+//! The one-shot path ([`crate::propagate`]) is this same path with
+//! throwaway caches: each neuron's task encodes into an empty `SubCache`
+//! (an encoding cache miss), sweeps its directed solves over empty basis
+//! slots, and drops the cache when it finishes.
 
 use crate::algorithm::{propagate_cached, validate, CertifyOptions, GlobalReport};
 use crate::bounds::TwinBounds;
 use crate::encode::{
-    encode_subnet_refined, reencode_subnet, EncodeOptions, EncodedSubNet, TargetKind,
+    encode_subnet_refined, reencode_subnet, refined_for, EncodeOptions, EncodedSubNet, TargetKind,
     TargetOverride,
 };
 use crate::error::CertifyError;
@@ -45,7 +50,7 @@ use itne_nn::AffineNetwork;
 /// One pass's resident artifacts for one neuron: the encoded sub-network,
 /// the refined set that keys its structure, and the per-objective [`Basis`]
 /// slots the previous query's sweep stored — the seeds the next query's
-/// directed solves restore ([`crate::query::lp_relax_y_resident`]).
+/// directed solves restore ([`crate::query::relax`]).
 #[derive(Clone)]
 pub(crate) struct SubCache {
     pub(crate) enc: EncodedSubNet,
@@ -107,9 +112,9 @@ impl ResidentState {
 
 /// Readies `slot` for a solve against the current `bounds`: replays the
 /// cached encoding in place when its structure (refined set + skeleton)
-/// still matches, else encodes fresh. The stored bases survive either way —
-/// a basis restore is shape-checked downstream and at worst re-runs cold.
-#[allow(clippy::too_many_arguments)]
+/// still matches, else encodes fresh (an empty slot always does). The stored
+/// bases survive either way — a basis restore is shape-checked downstream
+/// and at worst re-runs cold.
 pub(crate) fn prepare_subcache<'c>(
     slot: &'c mut Option<SubCache>,
     sub: &SubNetwork<'_>,
@@ -117,9 +122,9 @@ pub(crate) fn prepare_subcache<'c>(
     target: TargetKind,
     opts: &EncodeOptions,
     over: Option<TargetOverride>,
-    refined: RefinedSet,
     stats: &mut QueryStats,
 ) -> &'c mut SubCache {
+    let refined = refined_for(sub, bounds, target, opts);
     let hit = match slot.as_mut() {
         Some(sc) if sc.refined == refined => {
             reencode_subnet(&mut sc.enc, sub, bounds, target, opts, over, &refined)
@@ -251,6 +256,19 @@ mod tests {
             assert_eq!(res.stats.query.cert_failures, 0);
             if i == 0 {
                 assert!(res.stats.query.encoding_cache_misses > 0);
+                // A fresh state runs exactly the one-shot work.
+                let work = |q: QueryStats| {
+                    [
+                        q.solves,
+                        q.pivots,
+                        q.nodes,
+                        q.refactorizations,
+                        q.warm_hits,
+                        q.warm_misses,
+                        q.fallbacks,
+                    ]
+                };
+                assert_eq!(work(cold.stats.query), work(res.stats.query));
             } else {
                 not_warm += res.stats.query.solves - res.stats.query.warm_hits;
                 misses += res.stats.query.warm_misses;

@@ -90,9 +90,8 @@ pub struct BatchSolver<'m> {
     model: &'m mut Model,
     /// The previous solve's live factorized tableau. Reoptimizing it in
     /// place is strictly cheaper than restoring a [`crate::Basis`] snapshot
-    /// (no `B⁻¹` refactorization per solve); the snapshot API remains the
-    /// mechanism for warm starts *across* model instances
-    /// ([`Model::solve_with_basis`]).
+    /// (no `B⁻¹` refactorization per solve); snapshots carry warm starts
+    /// *across* sweeps ([`BatchSolver::solve_slot`]).
     resident: Option<Resident>,
     /// The final basis of this sweep's most recent [`BatchSolver::solve_slot`]
     /// that stored one. It is optimal for another objective over this very
@@ -133,15 +132,16 @@ impl<'m> BatchSolver<'m> {
     }
 
     /// Read-only view of the model being swept — the exact problem data the
-    /// most recent [`BatchSolver::solve`]'s certificate refers to (including
-    /// the objective that solve installed).
+    /// most recent solve's certificate refers to (including the objective
+    /// that solve installed).
     pub fn model(&self) -> &Model {
         self.model
     }
 
     /// Sets `sense expr` as the objective and solves, warm-starting from the
     /// previous solve's basis when one is available (and
-    /// [`SolveOptions::warm_start`] is on).
+    /// [`SolveOptions::warm_start`] is on): [`BatchSolver::solve_slot`] with
+    /// an empty slot.
     ///
     /// # Errors
     ///
@@ -151,6 +151,37 @@ impl<'m> BatchSolver<'m> {
         sense: Sense,
         expr: impl Into<LinExpr>,
         opts: &SolveOptions,
+    ) -> Result<Solution, SolveError> {
+        self.solve_slot(sense, expr, opts, &mut None)
+    }
+
+    /// Sets `sense expr` as the objective and solves it with a persistent
+    /// per-objective basis `slot` spanning sweeps: the solve starts from the
+    /// basis the *previous sweep* stored for this same objective (a
+    /// cross-sweep warm start, counted in [`BatchStats::seed_hits`]) and
+    /// writes its own final basis back for the next one. An empty slot
+    /// chains from this sweep's previous solve, or solves cold.
+    ///
+    /// With a live resident the restore reuses the compiled skeleton and
+    /// working arrays and pays only a basis refactorization; the sweep's
+    /// first solve rebuilds the engine from the snapshot. A slot stored
+    /// under another δ or weight version may no longer be primal feasible.
+    /// When restoring it into the live resident is rejected, the solve
+    /// restores this sweep's most recent final basis instead — optimal for
+    /// another objective over the same model, hence feasible — and
+    /// reoptimizes phase 2 only (one warm miss plus one warm hit). Any other
+    /// rejection falls back to a cold solve, so the slot is advisory and
+    /// never affects results, only the work counters.
+    ///
+    /// # Errors
+    ///
+    /// See [`SolveError`]; identical failure modes to [`Model::solve_with`].
+    pub fn solve_slot(
+        &mut self,
+        sense: Sense,
+        expr: impl Into<LinExpr>,
+        opts: &SolveOptions,
+        slot: &mut Option<Basis>,
     ) -> Result<Solution, SolveError> {
         self.model.set_objective(sense, expr);
         self.stats.solves += 1;
@@ -169,89 +200,6 @@ impl<'m> BatchSolver<'m> {
         // differential run), answering from the old engine's resident would
         // silently compare an engine against itself. Drop it and solve cold
         // with the engine actually requested.
-        if self
-            .resident
-            .as_ref()
-            .is_some_and(|r| r.engine() != opts.engine)
-        {
-            self.resident = None;
-        }
-
-        if opts.warm_start {
-            if let Some(resident) = &mut self.resident {
-                match resident.resolve(self.model, opts) {
-                    Ok(ResolveOutcome::Solved(sol)) => {
-                        self.count_warm_hit(&sol);
-                        return Ok(sol);
-                    }
-                    Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
-                        // Fall through to a cold solve.
-                        self.stats.warm_misses += 1;
-                        self.stats.pivots += wasted_pivots;
-                        self.resident = None;
-                    }
-                    Err(e) => {
-                        self.resident = None;
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        self.stats.cold_solves += 1;
-        match simplex::solve_lp_resident(self.model, opts) {
-            Ok((sol, resident)) => {
-                self.stats.pivots += sol.stats.pivots;
-                self.last_cold_pivots = sol.stats.pivots;
-                self.resident = if opts.warm_start { resident } else { None };
-                Ok(sol)
-            }
-            Err(e) => {
-                self.resident = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// [`BatchSolver::solve`] with a persistent per-objective basis `slot`
-    /// spanning sweeps: the solve starts from the basis the *previous sweep*
-    /// stored for this same objective (a cross-sweep warm start, counted in
-    /// [`BatchStats::seed_hits`]) and writes its own final basis back for
-    /// the next one.
-    ///
-    /// With a live resident the restore reuses the compiled skeleton and
-    /// working arrays and pays only a basis refactorization; the sweep's
-    /// first solve rebuilds the engine from the snapshot. A slot stored
-    /// under another δ or weight version may no longer be primal feasible.
-    /// When restoring it into the live resident is rejected, the solve
-    /// restores this sweep's most recent final basis instead — optimal for
-    /// another objective over the same model, hence feasible — and
-    /// reoptimizes phase 2 only (one warm miss plus one warm hit). Any other
-    /// rejection falls back to a cold solve, so the slot is advisory and
-    /// never affects results, only the work counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`]; identical failure modes to [`BatchSolver::solve`].
-    pub fn solve_slot(
-        &mut self,
-        sense: Sense,
-        expr: impl Into<LinExpr>,
-        opts: &SolveOptions,
-        slot: &mut Option<Basis>,
-    ) -> Result<Solution, SolveError> {
-        self.model.set_objective(sense, expr);
-        self.stats.solves += 1;
-        self.model.validate()?;
-
-        if self.model.num_integers() > 0 {
-            // Mixed models: no warm start, same dispatch as `solve`.
-            self.stats.cold_solves += 1;
-            let sol = branch_bound::solve_milp(self.model, opts)?;
-            self.stats.pivots += sol.stats.pivots;
-            return Ok(sol);
-        }
-
         if self
             .resident
             .as_ref()
@@ -317,7 +265,7 @@ impl<'m> BatchSolver<'m> {
                     }
                 }
             } else if let Some(resident) = &mut self.resident {
-                // Empty slot: chain from the previous solve as `solve` does.
+                // Empty slot: chain from the previous solve.
                 match resident.resolve(self.model, opts) {
                     Ok(ResolveOutcome::Solved(sol)) => {
                         self.count_warm_hit(&sol);
@@ -371,38 +319,6 @@ impl<'m> BatchSolver<'m> {
             *slot = Some(b);
         }
     }
-
-    /// Solves every `(sense, expr)` objective in order, returning one result
-    /// per objective. Failures are per-objective — a failed solve does not
-    /// abort the rest of the sweep (matching the certifier's per-query
-    /// fallback semantics).
-    pub fn sweep(
-        &mut self,
-        objectives: impl IntoIterator<Item = (Sense, LinExpr)>,
-        opts: &SolveOptions,
-    ) -> Vec<Result<Solution, SolveError>> {
-        objectives
-            .into_iter()
-            .map(|(sense, expr)| self.solve(sense, expr, opts))
-            .collect()
-    }
-
-    /// Minimizes then maximizes `expr`, returning `(min, max)` objective
-    /// values — the warm-started counterpart of [`Model::solve_range`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`].
-    pub fn solve_range(
-        &mut self,
-        expr: impl Into<LinExpr>,
-        opts: &SolveOptions,
-    ) -> Result<(f64, f64), SolveError> {
-        let e = expr.into();
-        let lo = self.solve(Sense::Minimize, e.clone(), opts)?.objective;
-        let hi = self.solve(Sense::Maximize, e, opts)?.objective;
-        Ok((lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -442,10 +358,14 @@ mod tests {
             .collect();
 
         let mut batch = BatchSolver::new(&mut m);
-        let warm: Vec<f64> = batch
-            .sweep(objectives, &opts)
+        let warm: Vec<f64> = objectives
             .into_iter()
-            .map(|r| r.expect("warm sweep solves").objective)
+            .map(|(s, e)| {
+                batch
+                    .solve(s, e, &opts)
+                    .expect("warm sweep solves")
+                    .objective
+            })
             .collect();
 
         for (w, c) in warm.iter().zip(&cold) {
@@ -553,8 +473,10 @@ mod tests {
         // sweep's last final basis answers warm instead of a cold solve.
         let mut other = m.clone();
         other.add_constraint(1.0 * x, Cmp::Le, 4.0);
-        other.set_objective(Sense::Maximize, 1.0 * x);
-        let (_, mut slot) = other.solve_with_basis(&opts, None).unwrap();
+        let mut slot = None;
+        BatchSolver::new(&mut other)
+            .solve_slot(Sense::Maximize, 1.0 * x, &opts, &mut slot)
+            .unwrap();
         assert!(slot.is_some());
         let got = replay
             .solve_slot(Sense::Maximize, 1.0 * x, &opts, &mut slot)
@@ -691,7 +613,7 @@ mod tests {
     fn redundant_equality_rows_stay_warm() {
         // The duplicated hyperplane keeps a frozen artificial in the final
         // basis. A `Basis` snapshot cannot represent that (see
-        // `Model::solve_with_basis`), but the live resident tableau carries
+        // `BatchSolver::snapshot`), but the live resident tableau carries
         // the frozen artificial along, so the sweep still warm-starts — and
         // must still agree with `Model::solve`.
         let mut m = Model::new();
@@ -740,16 +662,5 @@ mod tests {
             batch.solve(Sense::Maximize, 1.0 * x, &opts).unwrap_err(),
             SolveError::Unbounded
         );
-    }
-
-    #[test]
-    fn solve_range_is_warm_on_the_second_leg() {
-        let (mut m, x, y) = skeleton();
-        let opts = SolveOptions::default();
-        let mut batch = BatchSolver::new(&mut m);
-        let (lo, hi) = batch.solve_range(x + y, &opts).unwrap();
-        assert!(lo.abs() < 1e-9);
-        assert!((hi - 6.0).abs() < 1e-6);
-        assert_eq!(batch.stats().warm_hits, 1);
     }
 }

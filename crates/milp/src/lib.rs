@@ -19,12 +19,12 @@
 //!   indicator) variables, with cooperative cancellation ([`StopWhen`],
 //!   typically a caller-built deadline) and node-limit support
 //!   ([`Model::solve`] on mixed models);
-//! * **warm-started objective sweeps**: a solve's final simplex [`Basis`] can
-//!   be snapshotted and re-injected as the starting basis of the next solve
-//!   over the same constraint skeleton ([`Model::solve_with_basis`]), and
-//!   [`BatchSolver`] drives whole objective batches that way — skipping
-//!   phase 1 on every hit and falling back to a cold solve whenever a
-//!   restored basis cannot complete. This is the certifier's hot path: every
+//! * **warm-started objective sweeps**: [`BatchSolver`] chains each solve
+//!   from the previous one's live basis, and [`BatchSolver::solve_slot`]
+//!   snapshots a solve's final simplex [`Basis`] for re-injection as the
+//!   starting basis of a later sweep over the same constraint skeleton —
+//!   skipping phase 1 on every hit and falling back to a cold solve whenever
+//!   a restored basis cannot complete. This is the certifier's hot path: every
 //!   `LpRelaxY`/`LpRelaxX` sub-problem is "one skeleton, several objectives".
 //!
 //! The API is deliberately Gurobi-shaped: build a [`Model`], add variables with
@@ -75,7 +75,7 @@ mod sparse;
 pub use batch::{BatchSolver, BatchStats};
 pub use error::SolveError;
 pub use linexpr::LinExpr;
-pub use model::{Cmp, Model, Sense, VarId, VarType, WarmSolve};
+pub use model::{Cmp, Model, Sense, VarId, VarType};
 pub use options::{Engine, SolveOptions, StopWhen, TelemetryClock, Tolerances};
 pub use simplex::Basis;
 

@@ -155,8 +155,8 @@ pub struct SolveOptions {
     /// the incumbent with [`crate::Status::TimedOut`] (or
     /// [`crate::SolveError::Timeout`] if none exists).
     pub stop: Option<StopWhen>,
-    /// Allow [`crate::BatchSolver`] (and [`crate::Model::solve_with_basis`])
-    /// to reuse the basis of an earlier solve instead of running phase 1
+    /// Allow [`crate::BatchSolver`] to reuse the basis of an earlier solve
+    /// (its own chain or a stored slot) instead of running phase 1
     /// from scratch. Disabling forces every solve cold — useful to prove
     /// warm-started results are a pure optimization (see the golden
     /// regression tests) and to bisect suspected solver issues.

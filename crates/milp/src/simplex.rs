@@ -36,10 +36,10 @@ pub(crate) enum ColState {
 /// A reusable snapshot of a simplex basis: which column occupies each row
 /// plus the resting state of every structural and slack column.
 ///
-/// Produced by [`crate::Model::solve_with_basis`] (and internally by every
-/// successful LP solve) and re-injected as the *starting* basis of a later
-/// solve over the **same** constraint skeleton — typically with a different
-/// objective. Restoring skips phase 1 entirely: the basis is refactorized
+/// Produced by every successful LP solve of a [`crate::BatchSolver`] sweep
+/// and re-injected through [`crate::BatchSolver::solve_slot`] as the
+/// *starting* basis of a later solve over the **same** constraint skeleton —
+/// typically with a different objective or re-parameterized bounds. Restoring skips phase 1 entirely: the basis is refactorized
 /// against the original matrix and phase 2 reoptimizes from there. A snapshot
 /// is only meaningful for the model shape that produced it; restoring it
 /// elsewhere is detected (shape/feasibility checks) and rejected, at which
@@ -59,19 +59,8 @@ pub struct Basis {
 /// Outcome of a warm-started solve attempt (crate-internal: callers decide
 /// how to fall back and how to count the attempt). Transient — consumed
 /// immediately at each call site, so the size skew between variants never
-/// sits in a collection.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum WarmOutcome {
-    /// The restored basis reoptimized to optimality.
-    Solved(Solution, Option<Basis>),
-    /// The basis could not be restored (shape mismatch, singular
-    /// refactorization, primal infeasibility, or numerical trouble during
-    /// reoptimization). The caller should solve cold.
-    Rejected,
-}
-
-/// [`WarmOutcome`] whose success variant keeps the live engine state instead
-/// of flattening it to a [`Basis`] snapshot, so a slot sweep
+/// sits in a collection. The success variant keeps the live engine state
+/// rather than a [`Basis`] snapshot, so a slot sweep
 /// ([`crate::BatchSolver::solve_slot`]) can chain later objectives through
 /// in-place reoptimization — paying the snapshot-restore refactorization
 /// once per sweep rather than once per solve.
@@ -80,7 +69,9 @@ pub(crate) enum WarmResidentOutcome {
     /// The restored basis reoptimized to optimality; the live engine stays
     /// available for [`Resident::resolve`].
     Solved(Solution, Option<Resident>),
-    /// See [`WarmOutcome::Rejected`].
+    /// The basis could not be restored (shape mismatch, singular
+    /// refactorization, primal infeasibility, or numerical trouble during
+    /// reoptimization). The caller should solve cold.
     Rejected,
 }
 
@@ -550,16 +541,6 @@ pub(crate) fn solve_lp(model: &Model, opts: &SolveOptions) -> Result<Solution, S
     solve_lp_bounded(model, &bounds, opts, None)
 }
 
-/// [`solve_lp`] that also extracts a [`Basis`] snapshot for warm-starting a
-/// later solve over the same skeleton.
-pub(crate) fn solve_lp_snapshot(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<(Solution, Option<Basis>), SolveError> {
-    let (sol, resident) = solve_lp_resident(model, opts)?;
-    Ok((sol, resident.as_ref().and_then(Resident::snapshot)))
-}
-
 /// [`solve_lp`] that also hands back the live factorized engine state for
 /// in-place reoptimization under later objectives ([`Resident::resolve`]).
 pub(crate) fn solve_lp_resident(
@@ -843,24 +824,11 @@ pub(crate) fn finish_values(
 ///
 /// Anything that prevents completing from the restored basis (shape mismatch,
 /// a singular refactorization, primal infeasibility after restore, iteration
-/// limits, residual failures) yields [`WarmOutcome::Rejected`] so the caller
-/// can fall back to a cold solve; only genuine model-level errors
+/// limits, residual failures) yields [`WarmResidentOutcome::Rejected`] so the
+/// caller can fall back to a cold solve; only genuine model-level errors
 /// ([`SolveError::Unbounded`], invalid bounds) propagate as `Err`.
-pub(crate) fn solve_lp_warm(
-    model: &Model,
-    opts: &SolveOptions,
-    warm: &Basis,
-) -> Result<WarmOutcome, SolveError> {
-    Ok(match solve_lp_warm_resident(model, opts, warm)? {
-        WarmResidentOutcome::Solved(sol, res) => {
-            WarmOutcome::Solved(sol, res.as_ref().and_then(Resident::snapshot))
-        }
-        WarmResidentOutcome::Rejected => WarmOutcome::Rejected,
-    })
-}
-
-/// [`solve_lp_warm`] variant that hands back the live engine state on
-/// success (see [`WarmResidentOutcome`]): the slot batch path
+///
+/// On success it hands back the live engine state: the slot batch path
 /// ([`crate::BatchSolver::solve_slot`]) installs it as the sweep's resident
 /// tableau, so the restore refactorization is paid once per sweep instead of
 /// once per solve.

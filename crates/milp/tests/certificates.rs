@@ -136,22 +136,29 @@ fn corrupted_certificates_are_rejected() {
 fn warm_started_solves_carry_certificates() {
     for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
-        let m = textbook();
-        let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
+        m.add_constraint(x + y, Cmp::Le, 6.0);
+        m.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
+        let mut basis = None;
+        let cold = BatchSolver::new(&mut m.clone())
+            .solve_slot(Sense::Maximize, 3.0 * x + 2.0 * y, &o, &mut basis)
+            .unwrap();
         assert!(cold.is_certified());
-        let basis = basis.expect("cold solve yields a snapshot");
+        assert!(basis.is_some(), "cold solve yields a snapshot");
 
-        // New objective over the same skeleton, warm-started from the basis.
-        let mut m2 = Model::new();
-        let x = m2.add_var(0.0, 10.0);
-        let y = m2.add_var(0.0, 10.0);
-        m2.add_constraint(x + y, Cmp::Le, 6.0);
-        m2.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
-        m2.set_objective(Sense::Maximize, 1.0 * x + 4.0 * y);
-        let (warm, _) = m2.solve_with_basis(&o, Some(&basis)).unwrap();
+        // New objective over the same skeleton, warm-started from the basis
+        // by a fresh sweep's first slot solve.
+        let mut batch = BatchSolver::new(&mut m);
+        let warm = batch
+            .solve_slot(Sense::Maximize, 1.0 * x + 4.0 * y, &o, &mut basis)
+            .unwrap();
+        assert_eq!(batch.stats().seed_hits, 1, "{engine:?} restore rejected");
         assert!(warm.is_certified(), "{engine:?} warm solve should certify");
-        assert!(certify(&m2, &warm, padded(&m2, &warm)));
-        assert!(!certify(&m2, &warm, warm.objective - 0.1));
+        let m2 = batch.model();
+        assert!(certify(m2, &warm, padded(m2, &warm)));
+        assert!(!certify(m2, &warm, warm.objective - 0.1));
     }
 }
 

@@ -5,7 +5,7 @@
 //! * Branch-and-bound must agree with brute-force enumeration over all binary
 //!   assignments (each completed by an LP on the continuous remainder).
 //! * Warm-started batched sweeps ([`BatchSolver`]) and basis snapshot/restore
-//!   chains ([`Model::solve_with_basis`]) must agree with independent cold
+//!   chains ([`BatchSolver::solve_slot`]) must agree with independent cold
 //!   solves on every objective of randomly generated *feasible* skeletons —
 //!   including when a restore is rejected and falls back to a cold solve.
 
@@ -182,7 +182,7 @@ struct FeasibleSweep {
     /// Append a scaled copy of row 0's hyperplane pinned at the witness
     /// point, as an equality. Linearly dependent rows routinely strand a
     /// frozen artificial in the final basis, which makes basis snapshots
-    /// unavailable (`solve_with_basis` returns no snapshot) and forces
+    /// unavailable (`solve_slot` stores no snapshot) and forces
     /// restore chains through their cold-fallback path.
     duplicate_row: bool,
 }
@@ -491,8 +491,9 @@ proptest! {
         }
     }
 
-    /// Basis snapshot/restore across *separate* solves
-    /// (`Model::solve_with_basis`) also agrees with cold solves; when no
+    /// Basis snapshot/restore across *separate* sweeps (each objective is
+    /// the first `solve_slot` of a fresh `BatchSolver`, restoring the
+    /// previous one's stored basis) also agrees with cold solves; when no
     /// snapshot is available (e.g. a frozen artificial from the duplicated
     /// row) the chain silently degrades to cold solves and must stay exact.
     #[test]
@@ -501,24 +502,25 @@ proptest! {
         let opts = SolveOptions::default();
         let mut chain: Option<itne_milp::Basis> = None;
         for (sense, cs) in &s.objectives {
+            let expr = LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
             let mut m = model.clone();
-            m.set_objective(
-                *sense,
-                LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0),
-            );
+            m.set_objective(*sense, expr.clone());
             let cold = m.solve_with(&opts);
-            match (m.solve_with_basis(&opts, chain.as_ref()), cold) {
-                (Ok((warm, next)), Ok(c)) => {
+            // Each objective restores the basis its predecessor stored.
+            let mut slot = chain.take();
+            let warm = BatchSolver::new(&mut m).solve_slot(*sense, expr, &opts, &mut slot);
+            match (warm, cold) {
+                (Ok(warm), Ok(c)) => {
                     prop_assert!(
                         (warm.objective - c.objective).abs() < 1e-6,
                         "restored {} vs cold {} ({sense:?} over {cs:?})",
                         warm.objective, c.objective);
-                    chain = next;
+                    chain = slot;
                 }
-                (Err(_), Err(_)) => chain = None,
+                (Err(_), Err(_)) => {}
                 (w, c) => prop_assert!(false,
                     "paths disagree on solvability: warm {:?} vs cold {:?}",
-                    w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
+                    w.map(|sol| sol.objective), c.map(|sol| sol.objective)),
             }
         }
     }

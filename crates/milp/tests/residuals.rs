@@ -50,26 +50,31 @@ fn warm_started_solves_report_measured_residual() {
     // is artificial-free and snapshots: at the optimum z is pinned between
     // the row (which wants z ≤ 0.3 − 0.30000000000000004 < 0) and its lower
     // bound 0, so some tiny violation is unavoidable at any returned point.
-    let skeleton = |obj_sense: Sense, cz: f64| {
-        let mut m = Model::new();
-        let x = m.add_var(1.0, 1.0);
-        let y = m.add_var(1.0, 1.0);
-        let z = m.add_var(0.0, 10.0);
-        m.add_constraint(0.1 * x + 0.2 * y + z, Cmp::Le, 0.3);
-        m.add_constraint(x + z, Cmp::Le, 6.0);
-        m.set_objective(obj_sense, cz * z + 1.0 * x);
-        m
-    };
+    let mut m = Model::new();
+    let x = m.add_var(1.0, 1.0);
+    let y = m.add_var(1.0, 1.0);
+    let z = m.add_var(0.0, 10.0);
+    m.add_constraint(0.1 * x + 0.2 * y + z, Cmp::Le, 0.3);
+    m.add_constraint(x + z, Cmp::Le, 6.0);
     for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
-        let m = skeleton(Sense::Maximize, 1.0);
-        let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
+        let mut basis = None;
+        let mut first = m.clone();
+        let mut batch = BatchSolver::new(&mut first);
+        let cold = batch
+            .solve_slot(Sense::Maximize, 1.0 * z + 1.0 * x, &o, &mut basis)
+            .unwrap();
         assert_eq!(cold.stats.max_residual, m.violation(cold.values()));
-        let basis = basis.expect("cold solve yields a snapshot");
+        assert!(basis.is_some(), "cold solve yields a snapshot");
 
-        let m2 = skeleton(Sense::Minimize, -2.0);
-        let (warm, _) = m2.solve_with_basis(&o, Some(&basis)).unwrap();
-        let measured = m2.violation(warm.values());
+        // A fresh sweep's first slot solve restores the basis.
+        let mut second = m.clone();
+        let mut batch = BatchSolver::new(&mut second);
+        let warm = batch
+            .solve_slot(Sense::Minimize, -2.0 * z + 1.0 * x, &o, &mut basis)
+            .unwrap();
+        assert_eq!(batch.stats().seed_hits, 1, "{engine:?} restore rejected");
+        let measured = m.violation(warm.values());
         assert_eq!(
             warm.stats.max_residual, measured,
             "{engine:?}: warm path must carry the measured violation"
